@@ -105,7 +105,8 @@ type Config struct {
 	// in a non-standard way.
 	CacheNamespace string
 	// Log, when non-nil, receives one JSON line per query outcome.
-	// Prompts are logged as SHA-256 digests, never as raw text.
+	// Prompts are logged as SHA-256 digests, never as raw text. Writes
+	// are serialized, so the writer need not be goroutine-safe.
 	Log io.Writer
 	// OnOutcome, when non-nil, is invoked once per request the moment
 	// its outcome settles — from the worker goroutine that finished it
@@ -170,6 +171,11 @@ type Executor struct {
 	cache  map[string]llm.Response
 	flight map[string]*flightCall
 	logErr error
+
+	// logMu serializes writes to Config.Log, which need not be safe for
+	// concurrent use: a line lost to an interleaved write would make a
+	// resume re-pay a finished query.
+	logMu sync.Mutex
 
 	inflight atomic.Int64
 }
@@ -242,7 +248,9 @@ func (e *Executor) log(l logLine) {
 	data, err := json.Marshal(l)
 	if err == nil {
 		data = append(data, '\n')
+		e.logMu.Lock()
 		_, err = e.cfg.Log.Write(data)
+		e.logMu.Unlock()
 	}
 	if err != nil {
 		e.mu.Lock()

@@ -253,6 +253,45 @@ func TestExecuteJSONLLog(t *testing.T) {
 	}
 }
 
+// exclusiveWriter fails any Write that starts while another is still in
+// progress, the way an unsynchronized writer such as bytes.Buffer
+// silently loses lines. Each Write lingers briefly to widen the window.
+type exclusiveWriter struct {
+	busy atomic.Bool
+	buf  bytes.Buffer
+}
+
+func (w *exclusiveWriter) Write(p []byte) (int, error) {
+	if !w.busy.CompareAndSwap(false, true) {
+		return 0, errors.New("re-entrant Write")
+	}
+	defer w.busy.Store(false)
+	time.Sleep(20 * time.Microsecond)
+	return w.buf.Write(p)
+}
+
+// TestExecuteLogWritesAreSerialized: with many workers finishing at
+// once, every outcome still lands as its own audit-log line, because
+// the executor never enters the writer concurrently.
+func TestExecuteLogWritesAreSerialized(t *testing.T) {
+	const n = 200
+	w := &exclusiveWriter{}
+	e, err := New(newScripted(), Config{Workers: 8, Log: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{ID: fmt.Sprint(i), Prompt: fmt.Sprintf("prompt %d", i)}
+	}
+	if _, err := e.Execute(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(w.buf.String(), "\n"); lines != n {
+		t.Fatalf("audit log has %d lines, want %d", lines, n)
+	}
+}
+
 func TestExecuteContextCancel(t *testing.T) {
 	p := newScripted()
 	p.failFirst = 1000

@@ -152,23 +152,16 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			"core.round", "round", strconv.Itoa(round),
 			"gamma1", strconv.Itoa(g1), "gamma2", strconv.Itoa(g2))
 		roundPseudo := 0
-		planned := make([]plannedQuery, 0, len(cands))
-		for _, c := range cands {
+		planned := make([]plannedQuery, len(cands))
+		for i, c := range cands {
 			for _, s := range c.sel {
 				if s.Label != "" && isPseudo[s.ID] {
 					roundPseudo++
 				}
 			}
-			planned = append(planned, plannedQuery{
-				v:        c.v,
-				pruned:   plan.Prune[c.v],
-				equipped: len(c.sel) > 0,
-				prompt:   predictors.BuildPrompt(ctx, c.v, c.sel, m.Ranked() && len(c.sel) > 0),
-			})
-			if ecfg.Compress.Enabled() {
-				planned[len(planned)-1].compress(ecfg.Compress, rec, "boost")
-			}
+			planned[i] = plannedQuery{v: c.v, pruned: plan.Prune[c.v], equipped: len(c.sel) > 0, sel: c.sel}
 		}
+		preparePrompts(ctx, m.Ranked(), planned, ecfg, rec, "boost")
 		if rs != nil {
 			rs.bind(planned)
 		}

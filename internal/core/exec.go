@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -179,16 +181,19 @@ func ExecuteQueryVanilla(ctx *predictors.Context, p llm.Predictor, v tag.NodeID)
 //
 // With Workers > 1 the queries of a plan (or of one boosting round,
 // whose prompts are fixed before the round executes) run concurrently
-// through the batch executor. Neighbor selection and prompt
-// construction stay on the calling goroutine and results are applied in
-// stable plan order, so — given an order-independent predictor such as
-// *llm.Sim or an HTTP endpoint at temperature 0 — predictions, token
-// totals and accuracy are bit-identical for any worker count. The one
-// exception is BudgetTokens: which queries are refused once a hard
-// token cap trips depends on completion order.
+// through the batch executor, and Workers also bounds the goroutines
+// that build and compress the planned prompts before dispatch. Neighbor
+// selection stays on the calling goroutine, prompts are pure functions
+// of the selections, and results are applied in stable plan order, so
+// — given an order-independent predictor such as *llm.Sim or an HTTP
+// endpoint at temperature 0 — predictions, token totals and accuracy
+// are bit-identical for any worker count. The one exception is
+// BudgetTokens: which queries are refused once a hard token cap trips
+// depends on completion order.
 type ExecConfig struct {
-	// Workers is the number of concurrent in-flight queries; values
-	// below 1 mean serial execution.
+	// Workers is the number of concurrent in-flight queries, and of
+	// goroutines building and compressing planned prompts; values below
+	// 1 mean serial execution.
 	Workers int
 	// QPS caps the dispatch rate across workers; 0 means unlimited.
 	QPS float64
@@ -481,48 +486,77 @@ type plannedQuery struct {
 	v        tag.NodeID
 	pruned   bool
 	equipped bool
-	prompt   string
-	// compressWall/compressSaved record the compression stage's cost
-	// and payoff for this prompt; zero when compression is disabled or
-	// saved nothing. dispatch charges them into the query's ledger.
-	compressWall  time.Duration
-	compressSaved int
+	// sel is the query's neighbor selection, made on the planning
+	// goroutine; preparePrompts builds the prompt from it.
+	sel    []predictors.Selected
+	prompt string
+	// compressWall/compressed record the compression stage's cost and
+	// outcome for this prompt; zero when compression is disabled.
+	// dispatch charges them into the query's ledger.
+	compressWall time.Duration
+	compressed   prompt.CompressStats
 }
 
-// compressQuery runs one planned prompt through the compression stage,
-// recording wall time, token savings and the per-mode metrics.
-func (q *plannedQuery) compress(comp prompt.Compressor, rec obs.Recorder, mode string) {
-	start := time.Now()
-	out, st := comp.CompressStats(q.prompt)
-	q.prompt = out
-	q.compressWall = time.Since(start)
-	q.compressSaved = st.Saved()
-	rec.Add(metricCompressedTokens, float64(st.Saved()), "mode", mode)
-	rec.Observe(metricCompressionRatio, st.Ratio(), "mode", mode)
-}
-
-// buildQueries materializes selections and prompts for the given nodes
-// on the calling goroutine, keeping Method and Context single-threaded.
-// With compression enabled each prompt is compressed in place, so
-// everything downstream — dispatch, caching, token metering — sees only
-// the compressed bytes.
-func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, comp prompt.Compressor, rec obs.Recorder, mode string) []plannedQuery {
-	out := make([]plannedQuery, 0, len(queries))
-	for _, v := range queries {
-		var sel []predictors.Selected
-		if !prune[v] {
-			sel = m.Select(ctx, v)
-		}
-		out = append(out, plannedQuery{
-			v:        v,
-			pruned:   prune[v],
-			equipped: len(sel) > 0,
-			prompt:   predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0),
-		})
+// preparePrompts fixes the prompt of every planned query: it builds
+// the prompt from the query's selection and, with compression enabled,
+// compresses it in place, so everything downstream — dispatch, caching,
+// token metering — sees only the compressed bytes. Both steps are pure
+// functions of the query and the read-only parts of ctx, so they run
+// across up to cfg.Workers goroutines, each writing back only its own
+// index; with one worker they run inline. The compression metrics are
+// recorded afterwards in plan order, so prompts and metrics are
+// identical at any worker count.
+func preparePrompts(ctx *predictors.Context, ranked bool, planned []plannedQuery, cfg ExecConfig, rec obs.Recorder, mode string) {
+	comp := cfg.Compress
+	prepare := func(q *plannedQuery) {
+		q.prompt = predictors.BuildPrompt(ctx, q.v, q.sel, ranked && len(q.sel) > 0)
 		if comp.Enabled() {
-			out[len(out)-1].compress(comp, rec, mode)
+			start := time.Now()
+			q.prompt, q.compressed = comp.CompressStats(q.prompt)
+			q.compressWall = time.Since(start)
 		}
 	}
+	workers := min(cfg.Workers, len(planned))
+	if workers <= 1 {
+		for i := range planned {
+			prepare(&planned[i])
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < len(planned); i = int(next.Add(1) - 1) {
+					prepare(&planned[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if comp.Enabled() {
+		for _, q := range planned {
+			rec.Add(metricCompressedTokens, float64(q.compressed.Saved()), "mode", mode)
+			rec.Observe(metricCompressionRatio, q.compressed.Ratio(), "mode", mode)
+		}
+	}
+}
+
+// buildQueries plans the given nodes: neighbor selection runs on the
+// calling goroutine, keeping Method and Context single-threaded, and
+// preparePrompts then fixes every prompt across cfg.Workers.
+func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, cfg ExecConfig, rec obs.Recorder, mode string) []plannedQuery {
+	out := make([]plannedQuery, len(queries))
+	for i, v := range queries {
+		q := plannedQuery{v: v, pruned: prune[v]}
+		if !q.pruned {
+			q.sel = m.Select(ctx, v)
+		}
+		q.equipped = len(q.sel) > 0
+		out[i] = q
+	}
+	preparePrompts(ctx, m.Ranked(), out, cfg, rec, mode)
 	return out
 }
 
@@ -630,11 +664,11 @@ func dispatch(ex *batch.Executor, planned []plannedQuery, rec obs.Recorder, mode
 		qctx, root := obs.StartSpanCtx(context.Background(), rec, "core.query", labels...)
 		if root.Sampled() {
 			led := obs.NewLedger(rec, root.TraceID(), mode+"/node:"+reqs[i].ID)
-			if q.compressWall > 0 || q.compressSaved > 0 {
+			if q.compressWall > 0 || q.compressed.Saved() > 0 {
 				// Unbilled: compression ran during planning, before this
 				// query's span opened, so its wall must not count against
 				// the billed tiling and its tokens were never metered.
-				led.Charge(obs.StageCompress, q.compressWall, q.compressSaved, false)
+				led.Charge(obs.StageCompress, q.compressWall, q.compressed.Saved(), false)
 			}
 			qctx = obs.ContextWithLedger(qctx, led)
 			traces[i] = queryTrace{root: root, led: led}
@@ -681,7 +715,7 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 	if err != nil {
 		return nil, err
 	}
-	planned := buildQueries(ctx, m, plan.Queries, plan.Prune, cfg.Compress, rec, "plain")
+	planned := buildQueries(ctx, m, plan.Queries, plan.Prune, cfg, rec, "plain")
 	if rs != nil {
 		rs.bind(planned)
 	}

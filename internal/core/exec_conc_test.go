@@ -2,12 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/predictors"
+	"repro/internal/prompt"
 	"repro/internal/tag"
 	"repro/internal/token"
 )
@@ -199,4 +204,88 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// recordingPredictor wraps a predictor and keeps every prompt it is
+// asked, in arrival order.
+type recordingPredictor struct {
+	inner   llm.Predictor
+	mu      sync.Mutex
+	prompts []string
+}
+
+func (p *recordingPredictor) Name() string { return p.inner.Name() }
+
+func (p *recordingPredictor) Query(promptText string) (llm.Response, error) {
+	p.mu.Lock()
+	p.prompts = append(p.prompts, promptText)
+	p.mu.Unlock()
+	return p.inner.Query(promptText)
+}
+
+// TestCompressedPlansIdenticalAcrossWorkers: compression runs across
+// the executor's workers, so the worker count must change nothing a
+// caller can observe — predictions, meters, rounds, pseudo-label uses,
+// the exact prompt bytes the predictor received, and the compression
+// savings metric — in plain and boosted execution alike.
+func TestCompressedPlansIdenticalAcrossWorkers(t *testing.T) {
+	f := newFixture(t, 400, 120, 41)
+	m := predictors.KHopRandom{K: 1}
+	plan := RandomPrunePlan(f.split.Query, 0.2, 41)
+	type outcome struct {
+		res     *Results
+		trace   []RoundTrace
+		prompts []string
+		saved   float64
+	}
+	run := func(boost bool, workers int) outcome {
+		ctx := f.freshCtx()
+		ctx.IncludeAbstracts = true
+		reg := obs.NewRegistry()
+		ctx.Obs = reg
+		p := &recordingPredictor{inner: llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, 43)}
+		cfg := ExecConfig{Workers: workers, Compress: prompt.Compressor{Level: 1}}
+		var out outcome
+		var err error
+		mode := "plain"
+		if boost {
+			mode = "boost"
+			out.res, out.trace, err = BoostWith(ctx, m, p, plan, DefaultBoostConfig(), cfg)
+		} else {
+			out.res, err = ExecuteWith(ctx, m, p, plan, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dispatch order varies with workers; the multiset of prompts
+		// must not.
+		sort.Strings(p.prompts)
+		out.prompts = p.prompts
+		out.saved = reg.CounterValue(metricCompressedTokens, "mode", mode)
+		return out
+	}
+	for _, boost := range []bool{false, true} {
+		want := run(boost, 1)
+		if want.saved == 0 {
+			t.Fatalf("boost=%v: compression saved no tokens; the test needs abstracts to drop", boost)
+		}
+		for _, workers := range []int{2, 8} {
+			label := fmt.Sprintf("boost=%v workers=%d", boost, workers)
+			got := run(boost, workers)
+			assertSameResults(t, label, want.res, got.res)
+			if got.res.Rounds != want.res.Rounds || got.res.PseudoLabelUses != want.res.PseudoLabelUses {
+				t.Fatalf("%s: rounds %d, pseudo-label uses %d; want %d, %d", label,
+					got.res.Rounds, got.res.PseudoLabelUses, want.res.Rounds, want.res.PseudoLabelUses)
+			}
+			if !slices.Equal(got.trace, want.trace) {
+				t.Fatalf("%s: round traces differ:\n%+v\n%+v", label, got.trace, want.trace)
+			}
+			if !slices.Equal(got.prompts, want.prompts) {
+				t.Fatalf("%s: the predictor received different prompts", label)
+			}
+			if got.saved != want.saved {
+				t.Fatalf("%s: %s = %v, want %v", label, metricCompressedTokens, got.saved, want.saved)
+			}
+		}
+	}
 }

@@ -34,8 +34,11 @@ func (e *Encoder) Word(d int) string { return e.words[d] }
 // corpus, breaking ties lexicographically for determinism.
 func vocabOf(corpus []string, maxFeatures int) ([]string, map[string]int, []int) {
 	df := map[string]int{}
+	// One seen-set serves every document: clearing keeps its buckets,
+	// where a fresh map per document would regrow them each time.
+	seen := map[string]bool{}
 	for _, doc := range corpus {
-		seen := map[string]bool{}
+		clear(seen)
 		for _, w := range strings.Fields(doc) {
 			if !seen[w] {
 				seen[w] = true

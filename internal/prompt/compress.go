@@ -24,8 +24,10 @@ package prompt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/infotheory"
 	"repro/internal/token"
@@ -137,7 +139,9 @@ func (c Compressor) Compress(promptText string) string {
 }
 
 // CompressStats is Compress with before/after token accounting for the
-// metrics and ledger layers.
+// metrics and ledger layers. It is safe for concurrent use; each call
+// borrows its working buffers from a pool, so compressing on many
+// goroutines reuses a few buffers instead of allocating per prompt.
 func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	before := token.Count(promptText)
 	st := CompressStats{TokensBefore: before, TokensAfter: before}
@@ -147,11 +151,13 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	if _, err := Parse(promptText); err != nil {
 		return promptText, st
 	}
-	abs := findAbstracts(promptText)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	abs := sc.load(promptText)
 	if len(abs) == 0 {
 		return promptText, st
 	}
-	scoreSpans(promptText, abs)
+	sc.scoreSpans(abs)
 
 	// Phase 1 — level caps: each abstract keeps its cap's worth of
 	// densest spans. The target abstract always keeps at least one span
@@ -165,11 +171,11 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	// (later spans first on ties) until the rendered prompt fits. The
 	// running total is tracked incrementally: token.Count never forms a
 	// token across whitespace, so dropping a space-separated span
-	// shrinks the prompt by exactly that span's count (plus the
+	// shrinks the prompt by exactly its words' counts (plus the
 	// "Abstract:" prefix when a neighbor's line empties out and is
 	// removed entirely).
 	if c.TargetTokens > 0 {
-		total := token.Count(render(promptText, abs))
+		total := token.Count(sc.render(abs))
 		if total > c.TargetTokens {
 			prefixTokens := token.Count("Abstract:")
 			for _, d := range droppable(abs) {
@@ -178,7 +184,9 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 				}
 				a := &abs[d.abs]
 				a.kept[d.span] = false
-				total -= token.Count(a.spans[d.span].text)
+				for _, w := range sc.spanWords(a.spans[d.span]) {
+					total -= token.Count(w)
+				}
 				if !a.target && a.keptCount() == 0 {
 					total -= prefixTokens
 				}
@@ -186,16 +194,66 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 		}
 	}
 
-	out := render(promptText, abs)
-	st.TokensAfter = token.Count(out)
-	return out, st
+	// A prompt that lost no span renders to its own bytes.
+	for i := range abs {
+		if abs[i].keptCount() != len(abs[i].spans) {
+			out := sc.render(abs)
+			st.TokensAfter = token.Count(out)
+			return out, st
+		}
+	}
+	return promptText, st
 }
 
-// span is one scored compressible unit of an abstract.
-type span struct {
-	text  string
-	score float64
+// scratch is the working memory of one CompressStats call. Every
+// buffer indexes into the prompt being compressed; none outlives the
+// call.
+type scratch struct {
+	lines []string
+	// words holds every word of the prompt, line by line; line i's
+	// words are words[lineStart[i]:lineStart[i+1]].
+	words     []string
+	lineStart []int
+	// The background distribution: ids numbers the prompt's distinct
+	// words, counts[id] is how often word id occurs, and wordID[i] is
+	// the id of words[i].
+	ids    map[string]int
+	counts []float64
+	wordID []int
+	abs    []abstract
+	// out is the render buffer.
+	out []byte
 }
+
+// scratchPool keeps one scratch per concurrently compressing goroutine,
+// so a plan's compression reuses a few buffers instead of allocating
+// them per prompt.
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{ids: make(map[string]int)}
+}}
+
+// release clears the buffers, dropping their references into the
+// prompt, and returns sc to the pool.
+func (sc *scratch) release() {
+	clear(sc.lines)
+	clear(sc.words)
+	clear(sc.ids)
+	clear(sc.abs)
+	sc.lines, sc.words, sc.lineStart = sc.lines[:0], sc.words[:0], sc.lineStart[:0]
+	sc.counts, sc.wordID = sc.counts[:0], sc.wordID[:0]
+	sc.abs = sc.abs[:0]
+	scratchPool.Put(sc)
+}
+
+// span is one scored compressible unit of an abstract: the words
+// scratch.words[lo:hi].
+type span struct {
+	lo, hi int
+	score  float64
+}
+
+// spanWords returns sp's words.
+func (sc *scratch) spanWords(sp span) []string { return sc.words[sp.lo:sp.hi] }
 
 // abstract is one compressible Abstract line of a prompt.
 type abstract struct {
@@ -275,14 +333,26 @@ func droppable(abs []abstract) []dropRef {
 	return out
 }
 
-// findAbstracts locates the compressible Abstract lines: the target's
-// (line 1, guaranteed by Parse) and each neighbor entry's.
-func findAbstracts(promptText string) []abstract {
-	lines := strings.Split(promptText, "\n")
-	var out []abstract
+// load splits the prompt into lines and words and locates the
+// compressible Abstract lines: the target's (line 1, guaranteed by
+// Parse) and each neighbor entry's. An abstract's words are its line's
+// words after the "Abstract:" prefix.
+func (sc *scratch) load(promptText string) []abstract {
+	for rest := promptText; ; {
+		line, after, more := strings.Cut(rest, "\n")
+		sc.lines = append(sc.lines, line)
+		sc.lineStart = append(sc.lineStart, len(sc.words))
+		sc.words = append(sc.words, strings.Fields(line)...)
+		if !more {
+			break
+		}
+		rest = after
+	}
+	sc.lineStart = append(sc.lineStart, len(sc.words))
+
+	lines := sc.lines
 	add := func(i int, target bool) {
-		body := strings.TrimPrefix(lines[i], "Abstract: ")
-		spans := splitSpans(body)
+		spans := sc.splitSpans(sc.lineStart[i]+1, sc.lineStart[i+1])
 		if len(spans) == 0 {
 			return
 		}
@@ -290,7 +360,7 @@ func findAbstracts(promptText string) []abstract {
 		for j := range a.kept {
 			a.kept[j] = true
 		}
-		out = append(out, a)
+		sc.abs = append(sc.abs, a)
 	}
 	if len(lines) > 1 && strings.HasPrefix(lines[1], "Abstract: ") {
 		add(1, true)
@@ -306,35 +376,32 @@ func findAbstracts(promptText string) []abstract {
 			add(i, false)
 		}
 	}
-	return out
+	return sc.abs
 }
 
-// splitSpans cuts abstract text into spans: sentence boundaries first
-// (a word ending in ./!/? terminates a sentence), then fixed windows of
-// spanWords within each sentence. Chunking restarts at every sentence
-// boundary, so re-splitting the canonical join of any kept subset never
-// yields more spans than were kept — the invariant behind idempotence.
-func splitSpans(text string) []span {
-	words := strings.Fields(text)
+// splitSpans cuts the abstract words sc.words[lo:hi] into spans:
+// sentence boundaries first (a word ending in ./!/? terminates a
+// sentence), then fixed windows of spanWords within each sentence.
+// Chunking restarts at every sentence boundary, so re-splitting the
+// canonical join of any kept subset never yields more spans than were
+// kept — the invariant behind idempotence.
+func (sc *scratch) splitSpans(lo, hi int) []span {
 	var out []span
-	start := 0
+	start := lo
 	flush := func(end int) {
 		for s := start; s < end; s += spanWords {
-			e := s + spanWords
-			if e > end {
-				e = end
-			}
-			out = append(out, span{text: strings.Join(words[s:e], " ")})
+			out = append(out, span{lo: s, hi: min(s+spanWords, end)})
 		}
 		start = end
 	}
-	for i, w := range words {
+	for i := lo; i < hi; i++ {
+		w := sc.words[i]
 		switch w[len(w)-1] {
 		case '.', '!', '?':
 			flush(i + 1)
 		}
 	}
-	flush(len(words))
+	flush(hi)
 	return out
 }
 
@@ -347,75 +414,90 @@ func splitSpans(text string) []span {
 // signal and is dropped first; a span concentrating rare, distinctive
 // words survives. The background includes the span itself, so the
 // divergence is always finite.
-func scoreSpans(promptText string, abs []abstract) {
-	background := map[string]float64{}
-	var backgroundTotal float64
-	for _, w := range strings.Fields(promptText) {
-		background[w]++
-		backgroundTotal++
+func (sc *scratch) scoreSpans(abs []abstract) {
+	for _, w := range sc.words {
+		id, seen := sc.ids[w]
+		if !seen {
+			id = len(sc.counts)
+			sc.ids[w] = id
+			sc.counts = append(sc.counts, 0)
+		}
+		sc.counts[id]++
+		sc.wordID = append(sc.wordID, id)
 	}
+	backgroundTotal := float64(len(sc.words))
+	// A span holds at most spanWords words, so its distribution fits on
+	// the stack: one slot per distinct word plus the catch-all bucket.
+	var pBuf, qBuf [spanWords + 1]float64
 	for ai := range abs {
 		for si := range abs[ai].spans {
-			// Score over the span's distinct words plus one catch-all
-			// bucket holding the rest of the prompt's mass. KLDivergence
-			// normalizes q over its own sum, so this equals the
-			// full-vocabulary computation exactly, at O(span words) per
-			// span instead of O(vocabulary).
-			words := strings.Fields(abs[ai].spans[si].text)
-			spanCounts := map[string]float64{}
-			var p, q []float64
+			// Score over the span's distinct words (in first-occurrence
+			// order) plus one catch-all bucket holding the rest of the
+			// prompt's mass. KLDivergence normalizes q over its own sum,
+			// so this equals the full-vocabulary computation exactly, at
+			// O(span words) per span instead of O(vocabulary).
+			sp := &abs[ai].spans[si]
+			ids := sc.wordID[sp.lo:sp.hi]
+			p, q := pBuf[:0], qBuf[:0]
+			var slotOf [spanWords]int
 			rest := backgroundTotal
-			for _, w := range words {
-				if _, seen := spanCounts[w]; !seen {
+			for i, id := range ids {
+				if k := slices.Index(ids[:i], id); k >= 0 {
+					slotOf[i] = slotOf[k]
+				} else {
+					slotOf[i] = len(p)
 					p = append(p, 0)
-					q = append(q, background[w])
-					rest -= background[w]
-					spanCounts[w] = float64(len(p) - 1)
+					q = append(q, sc.counts[id])
+					rest -= sc.counts[id]
 				}
-				p[int(spanCounts[w])]++
+				p[slotOf[i]]++
 			}
 			p = append(p, 0)
 			q = append(q, rest)
-			abs[ai].spans[si].score = infotheory.Entropy(p) +
-				infotheory.KLDivergence(p, q)
+			sp.score = infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
 		}
 	}
 }
 
-// render reconstructs the prompt with the surviving spans. An abstract
-// whose span set is unchanged keeps its original bytes; a changed one
-// is re-rendered canonically in the Build format ("Abstract: <spans
-// joined by single spaces> "), and a neighbor abstract losing every
-// span loses its whole line — exactly what Build emits for an empty
-// neighbor abstract.
-func render(promptText string, abs []abstract) string {
-	lines := strings.Split(promptText, "\n")
-	drop := map[int]bool{}
-	for ai := range abs {
-		a := &abs[ai]
-		if a.keptCount() == len(a.spans) {
+// render reconstructs the prompt from its lines with the surviving
+// spans. An abstract whose span set is unchanged keeps its original
+// bytes; a changed one is re-rendered canonically in the Build format
+// ("Abstract: <span words joined by single spaces> "), and a neighbor
+// abstract losing every span loses its whole line — exactly what Build
+// emits for an empty neighbor abstract. abs is in line order, and line
+// 0 (the target title) is never an abstract.
+func (sc *scratch) render(abs []abstract) string {
+	b := sc.out[:0]
+	next := 0
+	for i, l := range sc.lines {
+		var a *abstract
+		if next < len(abs) && abs[next].line == i {
+			a = &abs[next]
+			next++
+		}
+		if a != nil && a.keptCount() == 0 && !a.target {
 			continue
 		}
-		var kept []string
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		if a == nil || a.keptCount() == len(a.spans) {
+			b = append(b, l...)
+			continue
+		}
+		b = append(b, "Abstract: "...)
 		for si, k := range a.kept {
-			if k {
-				kept = append(kept, a.spans[si].text)
+			if !k {
+				continue
+			}
+			for _, w := range sc.spanWords(a.spans[si]) {
+				b = append(b, w...)
+				b = append(b, ' ')
 			}
 		}
-		if len(kept) == 0 && !a.target {
-			drop[a.line] = true
-			continue
-		}
-		lines[a.line] = "Abstract: " + strings.Join(kept, " ") + " "
 	}
-	if len(drop) == 0 {
-		return strings.Join(lines, "\n")
-	}
-	out := make([]string, 0, len(lines))
-	for i, l := range lines {
-		if !drop[i] {
-			out = append(out, l)
-		}
-	}
-	return strings.Join(out, "\n")
+	sc.out = b
+	// Copy out of the reused buffer: the prompt is sized exactly, and
+	// no later call can overwrite it.
+	return string(b)
 }

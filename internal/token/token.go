@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"unicode"
+	"unicode/utf8"
 )
 
 // maxPiece is the longest run of letters emitted as a single token.
@@ -42,114 +43,165 @@ var common = map[string]bool{
 // tests to reason about.
 func Tokenize(text string) []string {
 	var out []string
-	emitWord := func(w string) {
-		lower := strings.ToLower(w)
-		if len(w) <= maxPiece || common[lower] {
-			out = append(out, w)
-			return
-		}
-		// Chunk long words into maxPiece-sized subword pieces.
-		for len(w) > 0 {
-			n := maxPiece
-			if len(w) < n {
-				n = len(w)
-			}
-			// Avoid a dangling single-letter final piece; real BPE
-			// prefers balanced merges.
-			if len(w) == n+1 {
-				n++
-			}
-			out = append(out, w[:n])
-			w = w[n:]
-		}
-	}
-	emitDigits := func(d string) {
-		for len(d) > 0 {
-			n := 3
-			if len(d) < n {
-				n = len(d)
-			}
-			out = append(out, d[:n])
-			d = d[n:]
-		}
-	}
-
-	i := 0
-	rs := []rune(text)
-	for i < len(rs) {
-		r := rs[i]
-		switch {
-		case unicode.IsSpace(r):
-			i++
-		case unicode.IsLetter(r):
-			j := i
-			for j < len(rs) && unicode.IsLetter(rs[j]) {
-				j++
-			}
-			emitWord(string(rs[i:j]))
-			i = j
-		case unicode.IsDigit(r):
-			j := i
-			for j < len(rs) && unicode.IsDigit(rs[j]) {
-				j++
-			}
-			emitDigits(string(rs[i:j]))
-			i = j
-		default:
-			// Punctuation and symbols: one token each.
-			out = append(out, string(r))
-			i++
-		}
-	}
+	scan(text, &out)
 	return out
 }
 
 // Count returns the number of tokens in text. It is the unit used for
-// every budget computation in the repository.
-func Count(text string) int {
-	// Counting without materializing the token slice keeps the hot
-	// path (per-prompt metering) allocation-free.
+// every budget computation in the repository, and allocates nothing.
+func Count(text string) int { return scan(text, nil) }
+
+// Character classes of the scanner. A run of letters or digits forms
+// one word; every other non-space character is a token of its own.
+const (
+	classOther = iota
+	classSpace
+	classLetter
+	classDigit
+)
+
+// asciiClass classifies the ASCII bytes with the same unicode
+// predicates the non-ASCII path uses, so the fast path cannot drift
+// from them.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		t[c] = classOfRune(rune(c))
+	}
+	return t
+}()
+
+func classOfRune(r rune) uint8 {
+	switch {
+	case unicode.IsSpace(r):
+		return classSpace
+	case unicode.IsLetter(r):
+		return classLetter
+	case unicode.IsDigit(r):
+		return classDigit
+	}
+	return classOther
+}
+
+// decodeClass returns the class and byte width of the non-ASCII
+// character at text[i]. An invalid byte decodes as a width-1
+// utf8.RuneError, classed Other.
+func decodeClass(text string, i int) (class uint8, width int) {
+	r, w := utf8.DecodeRuneInString(text[i:])
+	return classOfRune(r), w
+}
+
+// scan is the one tokenizer pass behind Count and Tokenize: it walks
+// text once and returns the token count, appending each piece to *out
+// when out is non-nil. Word and digit-run lengths are in bytes of the
+// UTF-8 text, whatever the runes.
+func scan(text string, out *[]string) int {
 	n := 0
-	i := 0
-	rs := []rune(text)
-	for i < len(rs) {
-		r := rs[i]
-		switch {
-		case unicode.IsSpace(r):
-			i++
-		case unicode.IsLetter(r):
-			j := i
-			for j < len(rs) && unicode.IsLetter(rs[j]) {
-				j++
+	for i := 0; i < len(text); {
+		class, w := uint8(0), 1
+		if c := text[i]; c < utf8.RuneSelf {
+			class = asciiClass[c]
+		} else {
+			class, w = decodeClass(text, i)
+		}
+		switch class {
+		case classSpace:
+			i += w
+		case classLetter, classDigit:
+			ascii := w == 1
+			j := i + w
+			for j < len(text) {
+				if c := text[j]; c < utf8.RuneSelf {
+					if asciiClass[c] != class {
+						break
+					}
+					j++
+					continue
+				}
+				c, wj := decodeClass(text, j)
+				if c != class {
+					break
+				}
+				ascii = false
+				j += wj
 			}
-			n += wordTokens(string(rs[i:j]))
-			i = j
-		case unicode.IsDigit(r):
-			j := i
-			for j < len(rs) && unicode.IsDigit(rs[j]) {
-				j++
+			if class == classLetter {
+				n += word(text[i:j], ascii, out)
+			} else {
+				n += pieces(text[i:j], 3, false, out)
 			}
-			n += (len(string(rs[i:j])) + 2) / 3
 			i = j
 		default:
+			// Punctuation and symbols: one token each.
 			n++
-			i++
+			if out != nil {
+				// An invalid byte reads as U+FFFD, as it would
+				// through a []rune conversion.
+				piece := text[i : i+w]
+				if w == 1 && piece[0] >= utf8.RuneSelf {
+					piece = string(utf8.RuneError)
+				}
+				*out = append(*out, piece)
+			}
+			i += w
 		}
 	}
 	return n
 }
 
-func wordTokens(w string) int {
-	if len(w) <= maxPiece || common[strings.ToLower(w)] {
+// word emits one letter run: a single token when short or common,
+// maxPiece-sized pieces otherwise.
+func word(w string, ascii bool, out *[]string) int {
+	if len(w) <= maxPiece || isCommon(w, ascii) {
+		if out != nil {
+			*out = append(*out, w)
+		}
 		return 1
 	}
-	n := len(w) / maxPiece
-	rem := len(w) % maxPiece
-	if rem > 1 {
+	return pieces(w, maxPiece, true, out)
+}
+
+// pieces cuts s into size-byte pieces. With balanced (letter runs) a
+// dangling single-byte final piece folds into the one before it, since
+// real BPE prefers balanced merges; digit runs are cut in plain groups.
+func pieces(s string, size int, balanced bool, out *[]string) int {
+	n := 0
+	for len(s) > 0 {
+		k := size
+		if len(s) < k {
+			k = len(s)
+		}
+		if balanced && len(s) == k+1 {
+			k++
+		}
+		if out != nil {
+			*out = append(*out, s[:k])
+		}
+		s = s[k:]
 		n++
 	}
-	// rem == 1 folds into the previous piece; rem == 0 is exact.
 	return n
+}
+
+// maxCommonLen bounds the byte length of every common word (a test
+// holds the table to it), so isCommon can fold a word on the stack.
+const maxCommonLen = 16
+
+// isCommon reports whether w, lowercased, is a common word. ASCII words
+// fold into a stack buffer; a non-ASCII word goes through
+// strings.ToLower, because some non-ASCII letters lowercase to ASCII
+// ones (the Kelvin sign U+212A lowercases to 'k').
+func isCommon(w string, ascii bool) bool {
+	if !ascii {
+		return common[strings.ToLower(w)]
+	}
+	if len(w) > maxCommonLen {
+		return false
+	}
+	var buf [maxCommonLen]byte
+	for i := 0; i < len(w); i++ {
+		buf[i] = w[i] | 0x20 // w is ASCII letters only
+	}
+	return common[string(buf[:len(w)])]
 }
 
 // Meter accumulates token usage across many queries. It is the
