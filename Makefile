@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchpool benchcompress fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
+.PHONY: all build vet test race stress bench benchpool benchcompress fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
 
 all: check
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the timing-sensitive resilience tests (breakers,
+# timeouts, circuit rejections, replica ejection, the legacy-predictor
+# watchdog) under the race detector, so a flake shows up in CI instead
+# of one run in N.
+stress:
+	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog' ./internal/batch ./internal/pool ./internal/core
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -80,14 +80,9 @@ type Config struct {
 	// that outlives the deadline fails with ErrQueryTimeout (retryable)
 	// instead of stalling its worker: predictors implementing
 	// llm.ContextPredictor are canceled mid-flight, legacy predictors
-	// are abandoned to a watchdog (their goroutine finishes — or parks —
-	// in the background).
+	// are abandoned by llm.WithContext's watchdog (their goroutine
+	// finishes — or parks — in the background).
 	QueryTimeout time.Duration
-	// Breaker guards the predictor with a circuit breaker; the zero
-	// value (Threshold 0) disables it. While the circuit is open,
-	// requests fail fast with ErrCircuitOpen rather than queue behind a
-	// backend that is presumed down.
-	Breaker BreakerConfig
 	// Cache serves repeated prompts from memory instead of re-querying.
 	Cache bool
 	// Disk, when non-nil, adds a persistent tier behind the memory
@@ -128,7 +123,9 @@ var ErrBudgetExhausted = errors.New("batch: token budget exhausted")
 
 // ErrQueryTimeout marks predictor attempts that outlived
 // Config.QueryTimeout. It is transient: retries (if configured) get a
-// fresh deadline, and it counts toward opening the circuit breaker.
+// fresh deadline. It is also the cause of the attempt's context, so a
+// replica pool below counts the timeout against the slow replica's
+// breaker rather than as a cancellation.
 var ErrQueryTimeout = errors.New("batch: query timed out")
 
 // Outcome is the result of one request.
@@ -137,8 +134,9 @@ type Outcome struct {
 	Err      error
 	// Cached reports that the response was served from the cache.
 	Cached bool
-	// Attempts counts predictor calls made for this request (0 when
-	// cached or skipped).
+	// Attempts counts predictor calls a backend actually received for
+	// this request: 0 when cached, skipped, or refused by open breakers
+	// (ErrCircuitOpen).
 	Attempts int
 	// Finished is when the worker completed the request (zero for
 	// requests never dispatched). Callers that opened a span per
@@ -163,9 +161,8 @@ type Result struct {
 
 // Executor runs batches against one predictor.
 type Executor struct {
-	p   llm.Predictor
+	p   llm.ContextPredictor
 	cfg Config
-	brk *Breaker // nil when the breaker is disabled
 
 	mu     sync.Mutex
 	cache  map[string]llm.Response
@@ -190,13 +187,15 @@ type flightCall struct {
 
 // New builds an executor. The predictor may be used concurrently from
 // Config.Workers goroutines; wrap non-thread-safe predictors (like
-// *llm.Sim) with Serialize.
+// *llm.Sim) with Serialize; legacy predictors get llm.WithContext. The
+// executor has no breaker of its own: breakers live in the replica pool
+// (package pool), one per slot.
 func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if p == nil {
 		return nil, errors.New("batch: nil predictor")
 	}
 	if cfg.Workers < 0 || cfg.QPS < 0 || cfg.MaxRetries < -1 || cfg.BudgetTokens < 0 ||
-		cfg.QueryTimeout < 0 || cfg.Breaker.Threshold < 0 {
+		cfg.QueryTimeout < 0 {
 		return nil, fmt.Errorf("batch: negative config value: %+v", cfg)
 	}
 	if cfg.Workers == 0 {
@@ -217,7 +216,7 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
 	}
-	e := &Executor{p: p, cfg: cfg, brk: NewBreaker(cfg.Breaker, cfg.Obs)}
+	e := &Executor{p: llm.WithContext(p), cfg: cfg}
 	if cfg.Cache || cfg.Disk != nil {
 		e.cache = make(map[string]llm.Response)
 		e.flight = make(map[string]*flightCall)
@@ -549,8 +548,8 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 // attempt runs the budget guard and the rate-paced retry loop for one
 // request, returning the outcome and its metric label. ctx carries the
 // query's span/ledger values (one() grafted them), so spans opened
-// here — backoff, breaker verdict, attempt N — nest under the
-// batch.request span and charges land on the query's ledger.
+// here — backoff, attempt N — nest under the batch.request span and
+// charges land on the query's ledger.
 func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-chan time.Time, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
 	if !bud.tryReserve() {
 		e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: ErrBudgetExhausted.Error()})
@@ -576,20 +575,6 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 				return Outcome{Err: ctx.Err(), Attempts: attempt - 1}, "aborted"
 			}
 		}
-		// Breaker guard: while the circuit is open the request fails
-		// fast, leaving graceful degradation (surrogate fallback) to the
-		// caller instead of queuing behind a backend presumed down.
-		if e.brk != nil {
-			if err := e.brk.Allow(); err != nil {
-				if live {
-					_, vsp := obs.StartSpanCtx(ctx, rec, "batch.breaker", "verdict", "open")
-					vsp.End()
-					ch.charge(obs.StageBreaker, 0, 0, true)
-				}
-				e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt - 1, Error: err.Error()})
-				return Outcome{Err: err, Attempts: attempt - 1}, "rejected"
-			}
-		}
 		if tick != nil {
 			var tstart time.Time
 			if live {
@@ -602,7 +587,6 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 					ch.charge(obs.StageThrottle, time.Since(tstart), 0, true)
 				}
 			case <-ctx.Done():
-				e.cancelBreaker() // pacing abort says nothing about the backend
 				rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
 				return Outcome{Err: ctx.Err(), Attempts: attempt - 1}, "aborted"
 			}
@@ -615,13 +599,18 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			actx, asp = obs.StartSpanCtx(ctx, rec, "batch.attempt", "n", fmt.Sprint(attempt))
 		}
 		resp, err := e.query(actx, r.Prompt)
+		rejected := errors.Is(err, ErrCircuitOpen)
 		if live {
 			wall := time.Since(start)
 			rec.Observe(metricBatchAttempt, wall.Seconds())
-			if err == nil {
+			switch {
+			case err == nil:
 				asp.SetAttr("outcome", "ok")
 				ch.charge(obs.StagePredict, wall, resp.InputTokens+resp.OutputTokens, true)
-			} else {
+			case rejected:
+				asp.SetAttr("outcome", "rejected")
+				ch.charge(obs.StageBreaker, wall, 0, true)
+			default:
 				asp.SetAttr("outcome", "error")
 				// Failed attempts are serial wall-clock on this query's
 				// path, but they bought nothing: billed time, zero
@@ -631,7 +620,6 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			asp.End()
 		}
 		if err == nil {
-			e.reportBreaker(true)
 			bud.charge(resp.InputTokens + resp.OutputTokens)
 			rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
 			if e.cache != nil {
@@ -651,27 +639,32 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			})
 			return Outcome{Response: resp, Attempts: attempt}, "ok"
 		}
+		if rejected {
+			// Every replica's breaker is open, so no replica received
+			// this attempt. Fail fast — a retry would only be refused
+			// again — leaving graceful degradation (surrogate fallback)
+			// to the caller instead of queuing behind a backend presumed
+			// down.
+			e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt - 1, Error: err.Error()})
+			return Outcome{Err: err, Attempts: attempt - 1}, "rejected"
+		}
 		lastErr = err
 		if ctx.Err() != nil {
 			// The batch was canceled mid-call; not the backend's fault.
-			e.cancelBreaker()
 			rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
 			return Outcome{Err: ctx.Err(), Attempts: attempt}, "aborted"
 		}
 		if errors.Is(err, ErrQueryTimeout) {
 			rec.Add(metricBatchTimeouts, 1)
-			e.reportBreaker(false)
 			continue
 		}
 		var apiErr *llm.APIError
 		if errors.As(err, &apiErr) && apiErr.StatusCode < 500 && apiErr.StatusCode != 429 {
 			// Client error: the request's fault, not the backend's —
-			// neither retried nor counted toward the breaker.
-			e.cancelBreaker()
+			// not retried.
 			e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt, Error: err.Error()})
 			return Outcome{Err: err, Attempts: attempt}, "error"
 		}
-		e.reportBreaker(false)
 	}
 	e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: e.cfg.MaxRetries + 1, Error: lastErr.Error()})
 	return Outcome{
@@ -688,69 +681,20 @@ func (e *Executor) diskGet(prompt string) (llm.Response, bool) {
 	return e.cfg.Disk.Get(promptcache.KeyOf(e.cfg.CacheNamespace, prompt))
 }
 
-// reportBreaker feeds a call outcome to the breaker when one exists.
-func (e *Executor) reportBreaker(success bool) {
-	if e.brk != nil {
-		e.brk.Report(success)
-	}
-}
-
-// cancelBreaker releases an admitted request without a health verdict.
-func (e *Executor) cancelBreaker() {
-	if e.brk != nil {
-		e.brk.Cancel()
-	}
-}
-
-// BreakerState reports the circuit breaker's current position;
-// BreakerClosed when no breaker is configured.
-func (e *Executor) BreakerState() BreakerState {
-	if e.brk == nil {
-		return BreakerClosed
-	}
-	return e.brk.State()
-}
-
-// query runs one predictor attempt under the per-query deadline.
-// Context-aware predictors are canceled mid-flight; legacy predictors
-// run under a watchdog that abandons the call at the deadline (a truly
-// hung call parks its goroutine — the price of the context-free
-// Predictor contract, and why ContextPredictor is preferred).
+// query runs one predictor attempt under the per-query deadline. The
+// deadline's cause is ErrQueryTimeout, so the layers below can tell a
+// backend too slow to answer from a caller that gave up.
 func (e *Executor) query(ctx context.Context, promptText string) (llm.Response, error) {
-	cp, hasCtx := e.p.(llm.ContextPredictor)
-	if e.cfg.QueryTimeout <= 0 {
-		if hasCtx {
-			return cp.QueryContext(ctx, promptText)
-		}
-		return e.p.Query(promptText)
+	if e.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, ErrQueryTimeout)
+		defer cancel()
 	}
-	qctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
-	defer cancel()
-	if hasCtx {
-		resp, err := cp.QueryContext(qctx, promptText)
-		if err != nil && qctx.Err() != nil && ctx.Err() == nil {
-			return llm.Response{}, fmt.Errorf("%w after %v: %v", ErrQueryTimeout, e.cfg.QueryTimeout, err)
-		}
-		return resp, err
+	resp, err := e.p.QueryContext(ctx, promptText)
+	if err != nil && errors.Is(context.Cause(ctx), ErrQueryTimeout) {
+		return llm.Response{}, fmt.Errorf("%w after %v: %v", ErrQueryTimeout, e.cfg.QueryTimeout, err)
 	}
-	type qresult struct {
-		resp llm.Response
-		err  error
-	}
-	ch := make(chan qresult, 1)
-	go func() {
-		resp, err := e.p.Query(promptText)
-		ch <- qresult{resp, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-qctx.Done():
-		if ctx.Err() != nil {
-			return llm.Response{}, ctx.Err()
-		}
-		return llm.Response{}, fmt.Errorf("%w after %v", ErrQueryTimeout, e.cfg.QueryTimeout)
-	}
+	return resp, err
 }
 
 // Serialize wraps a predictor with a mutex so single-threaded

@@ -17,12 +17,15 @@ const (
 )
 
 // ErrCircuitOpen marks requests rejected because the circuit breaker
-// was open: the backend is presumed down, so the executor fails fast
-// instead of queuing more doomed calls behind it.
+// was open: the backend is presumed down, so the caller fails fast
+// instead of queuing more doomed calls behind it. The replica pool
+// returns it when every replica is ejected; the executor then gives up
+// at once, without retry or backoff.
 var ErrCircuitOpen = errors.New("batch: circuit breaker open")
 
-// BreakerConfig configures the circuit breaker guarding the predictor.
-// The zero value disables the breaker entirely.
+// BreakerConfig configures a circuit breaker guarding one backend (the
+// replica pool runs one per replica slot). The zero value disables the
+// breaker entirely.
 type BreakerConfig struct {
 	// Threshold is the number of consecutive transient failures
 	// (timeouts, 5xx/429, transport errors) that opens the circuit;
@@ -64,10 +67,9 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is the classic three-state circuit breaker. All transitions
-// happen under the mutex; the clock is injectable for tests. It is
-// exported so layers above the executor — notably the replica pool,
-// which runs one Breaker per backend — reuse the exact state machine
-// (and metrics) that guards the single-predictor path.
+// happen under the mutex; the clock is injectable for tests. The
+// replica pool runs one Breaker per replica slot; it is the only
+// breaker on the path from the batch executor to a predictor.
 type Breaker struct {
 	cfg    BreakerConfig
 	rec    obs.Recorder
@@ -83,7 +85,7 @@ type Breaker struct {
 }
 
 // NewBreaker returns nil when the config disables the breaker; callers
-// keep the nil check (as the executor does). labels are static
+// keep the nil check (as the pool does). labels are static
 // alternating key/value pairs appended to every metric the breaker
 // emits, so several breakers (one per pool replica) stay
 // distinguishable in one registry.
@@ -108,8 +110,10 @@ func (b *Breaker) transition(to BreakerState) {
 	b.rec.Add(metricBreakerTransitions, 1, append([]string{"to", to.String()}, b.labels...)...)
 }
 
-// State reports the current position (resolving an elapsed cooldown
-// lazily, as Allow would).
+// State reports the recorded position. It does not resolve an elapsed
+// cooldown: an open breaker stays BreakerOpen here until the next Allow
+// admits a probe and moves it to BreakerHalfOpen (Ready reports whether
+// that would happen).
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -125,79 +124,6 @@ func TestBreakerCancelFreesProbeSlot(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	if b := NewBreaker(BreakerConfig{}, nil); b != nil {
-		t.Fatal("zero config built a live breaker")
-	}
-	e, err := New(newScripted(), Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.BreakerState() != BreakerClosed {
-		t.Fatal("executor without breaker not reported closed")
-	}
-}
-
-func TestExecutorBreakerFailsFast(t *testing.T) {
-	p := newScripted()
-	p.failFirst = 1000 // every call fails
-	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
-	e, err := New(p, Config{
-		Workers: 1, MaxRetries: -1,
-		Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(context.Background(), reqs(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 20 {
-		t.Fatalf("failed=%d, want 20", res.Failed)
-	}
-	if e.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker %v after a dead backend, want open", e.BreakerState())
-	}
-	// Only the first Threshold calls reached the predictor; the rest
-	// were rejected without a call.
-	if got := p.total.Load(); got != 3 {
-		t.Fatalf("predictor saw %d calls, want 3 (threshold)", got)
-	}
-	rejected := 0
-	for _, o := range res.Outcomes {
-		if errors.Is(o.Err, ErrCircuitOpen) {
-			rejected++
-		}
-	}
-	if rejected != 17 {
-		t.Fatalf("rejected=%d, want 17", rejected)
-	}
-}
-
-func TestExecutorBreakerRecovers(t *testing.T) {
-	p := newScripted()
-	p.failFirst = 1 // first call per prompt fails, then succeeds
-	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "blip"}
-	e, err := New(p, Config{
-		Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond,
-		Breaker: BreakerConfig{Threshold: 5, Cooldown: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(context.Background(), reqs(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failed=%d with retries available, want 0", res.Failed)
-	}
-	if e.BreakerState() != BreakerClosed {
-		t.Fatalf("breaker %v, want closed (successes reset the streak)", e.BreakerState())
-	}
-}
-
 // hang is a legacy (context-free) predictor whose marked prompts block
 // until release is closed.
 type hang struct {
@@ -293,38 +219,6 @@ func TestQueryTimeoutContextPath(t *testing.T) {
 	}
 	if res.Failed != 1 {
 		t.Fatalf("failed=%d, want 1", res.Failed)
-	}
-}
-
-func TestQueryTimeoutTripsBreaker(t *testing.T) {
-	// Every prompt hangs; timeouts count as transient failures, so the
-	// breaker opens and the tail of the batch fails fast.
-	h := &ctxHang{match: "prompt", inner: newScripted()}
-	e, err := New(h, Config{
-		Workers: 1, MaxRetries: -1, QueryTimeout: 10 * time.Millisecond,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(context.Background(), reqs(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker %v, want open after repeated timeouts", e.BreakerState())
-	}
-	timeouts, rejections := 0, 0
-	for _, o := range res.Outcomes {
-		switch {
-		case errors.Is(o.Err, ErrQueryTimeout):
-			timeouts++
-		case errors.Is(o.Err, ErrCircuitOpen):
-			rejections++
-		}
-	}
-	if timeouts != 2 || rejections != 6 {
-		t.Fatalf("timeouts=%d rejections=%d, want 2 and 6", timeouts, rejections)
 	}
 }
 

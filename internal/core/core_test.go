@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/llm"
 	"repro/internal/predictors"
+	"repro/internal/prompt"
+	"repro/internal/promptcache"
 	"repro/internal/tag"
 	"repro/internal/xrand"
 )
@@ -181,6 +184,46 @@ func TestFitInadequacy(t *testing.T) {
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			t.Fatalf("D(t) not finite for node %d", v)
 		}
+	}
+}
+
+// callCounter counts the calls that reach a predictor.
+type callCounter struct {
+	llm.Predictor
+	calls atomic.Int64
+}
+
+func (c *callCounter) Identity() string { return llm.IdentityOf(c.Predictor) }
+
+func (c *callCounter) Query(promptText string) (llm.Response, error) {
+	c.calls.Add(1)
+	return c.Predictor.Query(promptText)
+}
+
+func TestCalibrationCacheNamespaceIgnoresCompression(t *testing.T) {
+	// Calibration prompts are never compressed, so a compressed run's
+	// calibration must cache under the plain template namespace: a later
+	// uncompressed fit over the same disk cache pays nothing.
+	f := newFixture(t, 300, 40, 23)
+	pc, err := promptcache.Open(t.TempDir(), promptcache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	fit := func(comp prompt.Compressor) int64 {
+		c := &callCounter{Predictor: f.sim}
+		cfg := fastInadequacy(23)
+		cfg.Exec = ExecConfig{Workers: 2, Disk: pc, Compress: comp}
+		if _, err := FitInadequacy(f.g, f.split.Labeled, c, "paper", cfg); err != nil {
+			t.Fatal(err)
+		}
+		return c.calls.Load()
+	}
+	if cold := fit(prompt.Compressor{Level: 1}); cold == 0 {
+		t.Fatal("cold calibration made no predictor calls; the scenario is vacuous")
+	}
+	if warm := fit(prompt.Compressor{}); warm != 0 {
+		t.Fatalf("uncompressed calibration paid %d calls after a compressed one filled the cache, want 0", warm)
 	}
 }
 

@@ -233,9 +233,11 @@ type ExecConfig struct {
 	// deadline. A hung call is abandoned with batch.ErrQueryTimeout, so
 	// one stuck prompt cannot stall the whole plan.
 	QueryTimeout time.Duration
-	// Breaker configures a circuit breaker in front of the predictor;
-	// the zero value disables it. Like BudgetTokens, a tripped breaker
-	// makes results depend on completion order under concurrency.
+	// Breaker configures one circuit breaker per replica slot; the zero
+	// value disables them. Without Replicas or ReplicaCount the plan runs
+	// through a pool of one slot, so this is the breaker in front of the
+	// predictor. Like BudgetTokens, a tripped breaker makes results
+	// depend on completion order under concurrency.
 	Breaker batch.BreakerConfig
 	// Fallback, when non-nil, answers queries whose LLM path failed
 	// permanently with the surrogate classifier instead of reporting
@@ -243,10 +245,10 @@ type ExecConfig struct {
 	// Results.Fallback.
 	Fallback *Surrogate
 	// Replicas, when non-empty, fans the plan's queries across these
-	// backends through the replica pool (health-aware routing,
-	// per-replica breakers) instead of querying the primary predictor
-	// directly. Breaker then configures the per-replica breakers; no
-	// global breaker runs.
+	// backends (health-aware routing, one breaker each) instead of
+	// routing to the primary predictor. Every plan runs through the
+	// replica pool; without Replicas or ReplicaCount > 1 the pool has one
+	// slot, the primary predictor.
 	Replicas []llm.Predictor
 	// ReplicaCount, when > 1 and Replicas is empty, pools the primary
 	// predictor itself as that many replica slots — useful for
@@ -255,7 +257,7 @@ type ExecConfig struct {
 	ReplicaCount int
 	// Hedge enables hedged requests on the pool: a second replica is
 	// tried when the first has not answered within HedgeAfter, first
-	// answer wins. Requires pooling (Replicas or ReplicaCount).
+	// answer wins. Requires pooling (Replicas or ReplicaCount > 1).
 	Hedge bool
 	// HedgeAfter is the hedge trigger delay (default pool.DefaultHedgeAfter).
 	HedgeAfter time.Duration
@@ -265,7 +267,7 @@ type ExecConfig struct {
 	// the affine replica is ejected or overloaded. With per-replica
 	// disk caches (e.g. distinct llmserve upstreams) a warm prompt
 	// then never pays cold-replica tokens. Requires pooling (Replicas
-	// or ReplicaCount).
+	// or ReplicaCount > 1).
 	Affinity bool
 	// OnResult, when non-nil, receives each plan entry's final outcome
 	// the moment the executor settles it — from worker goroutines,
@@ -363,20 +365,16 @@ func (cfg ExecConfig) IsZero() bool {
 }
 
 // replicaSet resolves the pool's backend list: the explicit Replicas
-// when given, ReplicaCount copies of the primary otherwise, nil when
-// pooling is off.
+// when given, otherwise max(ReplicaCount, 1) copies of the primary.
 func (cfg ExecConfig) replicaSet(p llm.Predictor) []llm.Predictor {
 	if len(cfg.Replicas) > 0 {
 		return cfg.Replicas
 	}
-	if cfg.ReplicaCount > 1 {
-		reps := make([]llm.Predictor, cfg.ReplicaCount)
-		for i := range reps {
-			reps[i] = p
-		}
-		return reps
+	reps := make([]llm.Predictor, max(cfg.ReplicaCount, 1))
+	for i := range reps {
+		reps[i] = p
 	}
-	return nil
+	return reps
 }
 
 // batchConfig translates an ExecConfig into the executor's config.
@@ -400,7 +398,6 @@ func (cfg ExecConfig) batchConfig(rec obs.Recorder) batch.Config {
 		Disk:           cfg.Disk,
 		CacheNamespace: cfg.CacheNamespace,
 		QueryTimeout:   cfg.QueryTimeout,
-		Breaker:        cfg.Breaker,
 		OnOutcome:      cfg.onOutcome,
 		Obs:            rec,
 	}
@@ -444,7 +441,7 @@ func (e *QueryErrors) Error() string {
 // the request enters the executor — this layer sits *inside* the
 // executor's attempt span and only times the winning call.)
 type timedPredictor struct {
-	inner llm.Predictor
+	inner *pool.Pool
 	rec   obs.Recorder
 	mode  string
 }
@@ -456,27 +453,16 @@ func (t *timedPredictor) Name() string { return t.inner.Name() }
 // disk-cache namespace is unchanged by instrumentation.
 func (t *timedPredictor) Identity() string { return llm.IdentityOf(t.inner) }
 
-// Query implements llm.Predictor with histogram instrumentation.
+// Query implements llm.Predictor.
 func (t *timedPredictor) Query(promptText string) (llm.Response, error) {
-	start := time.Now()
-	resp, err := t.inner.Query(promptText)
-	t.rec.Observe(metricQuerySeconds, time.Since(start).Seconds(), "mode", t.mode)
-	return resp, err
+	return t.QueryContext(context.Background(), promptText)
 }
 
-// timedCtxPredictor additionally forwards QueryContext, so wrapping a
-// cancelable predictor does not demote it to the executor's watchdog
-// path. instrument picks between the two.
-type timedCtxPredictor struct {
-	*timedPredictor
-	cp llm.ContextPredictor
-}
-
-// QueryContext implements llm.ContextPredictor with the same
-// instrumentation as Query.
-func (t *timedCtxPredictor) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
+// QueryContext implements llm.ContextPredictor with histogram
+// instrumentation.
+func (t *timedPredictor) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
 	start := time.Now()
-	resp, err := t.cp.QueryContext(ctx, promptText)
+	resp, err := t.inner.QueryContext(ctx, promptText)
 	t.rec.Observe(metricQuerySeconds, time.Since(start).Seconds(), "mode", t.mode)
 	return resp, err
 }
@@ -560,46 +546,35 @@ func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.No
 	return out
 }
 
-// newPlanExecutor wraps p for one plan execution: instrumented when a
-// recorder is live, and fronted by a bounded-concurrency batch
-// executor.
+// newPlanExecutor builds the one route from a plan to its predictor:
+// a bounded-concurrency batch executor over a replica pool, instrumented
+// when a recorder is live. The pool's per-slot breakers are the only
+// breakers on the route. Without Replicas or ReplicaCount > 1 the pool
+// is one slot of p with no hedging or affinity routing. Plain, boosting
+// and calibration runs all build their executor here.
 func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode string) (*batch.Executor, error) {
-	if reps := cfg.replicaSet(p); reps != nil {
-		pcfg := pool.Config{
-			Hedge:      cfg.Hedge,
-			HedgeAfter: cfg.HedgeAfter,
-			Breaker:    cfg.Breaker,
-			Obs:        rec,
-		}
+	pcfg := pool.Config{Breaker: cfg.Breaker, Obs: rec}
+	if len(cfg.Replicas) > 0 || cfg.ReplicaCount > 1 {
+		pcfg.Hedge, pcfg.HedgeAfter = cfg.Hedge, cfg.HedgeAfter
 		if cfg.Affinity {
 			pcfg.Scorer = &pool.Affinity{}
 		}
-		pl, err := pool.New(reps, pcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: building replica pool: %w", err)
-		}
-		p = pl
-		// The per-replica breakers replace the executor's global one: a
-		// single dead replica must be ejected from rotation, not allowed
-		// to trip a breaker spanning the healthy ones.
-		cfg.Breaker = batch.BreakerConfig{}
+	}
+	pl, err := pool.New(cfg.replicaSet(p), pcfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: building replica pool: %w", err)
 	}
 	// Compression rewrites prompt bytes, so a compressed run must not
 	// share the executor's default disk-cache namespace with the
-	// uncompressed template. Derive the versioned namespace here (after
-	// pool wrapping, so the identity folds replicas exactly like the
+	// uncompressed template. Derive the versioned namespace here (from
+	// the pool, so the identity folds replicas exactly like the
 	// executor's own default would).
 	if cfg.Disk != nil && cfg.CacheNamespace == "" && cfg.Compress.Enabled() {
-		cfg.CacheNamespace = promptcache.NamespaceVersion(p, cfg.Compress.TemplateVersion())
+		cfg.CacheNamespace = promptcache.NamespaceVersion(pl, cfg.Compress.TemplateVersion())
 	}
-	qp := p
+	var qp llm.Predictor = pl
 	if obs.Enabled(rec) {
-		tp := &timedPredictor{inner: p, rec: rec, mode: mode}
-		if cp, ok := p.(llm.ContextPredictor); ok {
-			qp = &timedCtxPredictor{timedPredictor: tp, cp: cp}
-		} else {
-			qp = tp
-		}
+		qp = &timedPredictor{inner: pl, rec: obs.Active(rec), mode: mode}
 	}
 	return batch.New(qp, cfg.batchConfig(rec))
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"hash/fnv"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/predictors"
 	"repro/internal/tag"
@@ -175,6 +178,73 @@ func TestExecuteWithHungPredictorDoesNotStall(t *testing.T) {
 	}
 	if len(qerrs.Errs) != hangs {
 		t.Fatalf("%d queries failed, want exactly the %d hung ones", len(qerrs.Errs), hangs)
+	}
+	if len(res.Pred)+hangs != len(plan.Queries) {
+		t.Fatalf("answered %d + hung %d != planned %d", len(res.Pred), hangs, len(plan.Queries))
+	}
+}
+
+// legacyHang is a context-free predictor (no QueryContext) that blocks
+// on every prompt whose FNV hash falls in one bucket of ten, until
+// release is closed; other prompts go to inner.
+type legacyHang struct {
+	inner   llm.Predictor
+	release chan struct{}
+	hung    atomic.Int64
+}
+
+func (h *legacyHang) Name() string { return "legacy-hang" }
+
+func (h *legacyHang) Query(prompt string) (llm.Response, error) {
+	f := fnv.New32a()
+	f.Write([]byte(prompt))
+	if f.Sum32()%10 == 0 {
+		h.hung.Add(1)
+		<-h.release
+		return llm.Response{}, errors.New("hang released")
+	}
+	return h.inner.Query(prompt)
+}
+
+func TestExecuteWithLegacyHungPredictorWatchdog(t *testing.T) {
+	// A legacy predictor cannot be canceled, so QueryTimeout reaches it
+	// only through llm.WithContext's watchdog: the plan must finish, and
+	// exactly the hung queries fail.
+	f := newFixture(t, 300, 40, 5)
+	m := predictors.KHopRandom{K: 1}
+	plan := Plan{Queries: f.split.Query}
+	h := &legacyHang{inner: batch.Serialize(f.sim), release: make(chan struct{})}
+	defer close(h.release)
+
+	done := make(chan struct{})
+	var res *Results
+	var err error
+	go func() {
+		defer close(done)
+		res, err = ExecuteWith(f.freshCtx(), m, h, plan, ExecConfig{
+			Workers: 4, QueryTimeout: 25 * time.Millisecond,
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("hung legacy predictor stalled ExecuteWith")
+	}
+	hangs := int(h.hung.Load())
+	if hangs == 0 {
+		t.Fatal("no prompt hung; the scenario is vacuous")
+	}
+	var qerrs *QueryErrors
+	if !errors.As(err, &qerrs) {
+		t.Fatalf("expected *QueryErrors, got %v", err)
+	}
+	if len(qerrs.Errs) != hangs {
+		t.Fatalf("%d queries failed, want exactly the %d hung ones", len(qerrs.Errs), hangs)
+	}
+	for v, qerr := range qerrs.Errs {
+		if !errors.Is(qerr, batch.ErrQueryTimeout) {
+			t.Fatalf("node %d failed with %v, want ErrQueryTimeout", v, qerr)
+		}
 	}
 	if len(res.Pred)+hangs != len(plan.Queries) {
 		t.Fatalf("answered %d + hung %d != planned %d", len(res.Pred), hangs, len(plan.Queries))

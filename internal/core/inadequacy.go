@@ -117,9 +117,13 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	// per-class misclassification ratios w (step 2) and the per-node
 	// error indicators that supervise g_θ2 (step 3) — V_L^c is paid for
 	// exactly once, as in the paper. The queries are independent, so
-	// they dispatch through the batch executor under cfg.Exec and the
-	// tallies are applied in calibration order.
-	ex, err := batch.New(p, cfg.Exec.batchConfig(nil))
+	// they dispatch through the plan executor under cfg.Exec and the
+	// tallies are applied in calibration order. Calibration prompts are
+	// never compressed, so compression must not version their default
+	// cache namespace either.
+	ecfg := cfg.Exec
+	ecfg.Compress = prompt.Compressor{}
+	ex, err := newPlanExecutor(p, ecfg, nil, "calibration")
 	if err != nil {
 		return nil, fmt.Errorf("core: bias calibration: %w", err)
 	}

@@ -40,8 +40,8 @@ type FaultConfig struct {
 	// API error (status 503) instead of answering.
 	ErrorRate float64
 	// HangRate is the fraction of prompts that never answer: Query
-	// blocks until the context is canceled (QueryContext) or until the
-	// executor's watchdog abandons the call (plain Query).
+	// blocks until the context is canceled (QueryContext) or forever
+	// (plain Query).
 	HangRate float64
 	// GarbageRate is the fraction of prompts answered with an
 	// off-template completion whose category matches no class — the

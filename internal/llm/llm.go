@@ -74,13 +74,64 @@ func IdentityOf(p Predictor) string {
 }
 
 // ContextPredictor is implemented by predictors whose queries can be
-// canceled mid-flight. The batch executor prefers this path when
-// enforcing per-query deadlines: a hung call is abandoned the moment
-// its context expires instead of being parked behind a watchdog.
+// canceled mid-flight: a hung call ends the moment its context
+// expires instead of being parked behind WithContext's watchdog.
 // HTTPPredictor implements it.
 type ContextPredictor interface {
 	Predictor
 	QueryContext(ctx context.Context, promptText string) (Response, error)
+}
+
+// WithContext returns p as a ContextPredictor: unchanged when p is
+// context-aware, otherwise behind the stack's one watchdog for legacy
+// predictors. With a deadline on ctx, the watchdog runs Query in a
+// goroutine and returns ctx.Err() when ctx ends, abandoning the call to
+// finish (or park) in the background. Without one it calls Query
+// directly: a cancellation alone (a hedge loser, a caller giving up)
+// cannot stop the call either way, and a handoff goroutine per call
+// would only cost time and let every worker's call be in flight at
+// once. Apply it outside any lock, as WithContext(batch.Serialize(p)),
+// so an abandoned call holds the lock until it really returns.
+func WithContext(p Predictor) ContextPredictor {
+	if cp, ok := p.(ContextPredictor); ok {
+		return cp
+	}
+	return &watchdog{p: p}
+}
+
+// watchdog is WithContext's adapter for a legacy predictor.
+type watchdog struct{ p Predictor }
+
+// Name implements Predictor.
+func (w *watchdog) Name() string { return w.p.Name() }
+
+// Identity forwards the inner identity: the adapter does not change the
+// answer function, so cache namespaces must not change either.
+func (w *watchdog) Identity() string { return IdentityOf(w.p) }
+
+// Query implements Predictor.
+func (w *watchdog) Query(promptText string) (Response, error) { return w.p.Query(promptText) }
+
+// QueryContext implements ContextPredictor.
+func (w *watchdog) QueryContext(ctx context.Context, promptText string) (Response, error) {
+	if _, ok := ctx.Deadline(); !ok {
+		return w.p.Query(promptText)
+	}
+	type result struct {
+		resp Response
+		err  error
+	}
+	ch := make(chan result, 1) // an abandoned call still completes its send
+	go func() {
+		resp, err := w.p.Query(promptText)
+		ch <- result{resp, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.resp, r.err
+	case <-ctx.Done():
+		return Response{}, ctx.Err()
+	}
 }
 
 // Profile parameterizes a simulated model's skill and failure modes.

@@ -11,12 +11,13 @@
 // spread without global coordination). The Affinity scorer instead
 // places each prompt's cache key on its rendezvous owner, so warm
 // prompt-cache shards never pay cold-replica tokens; see scorer.go.
-// Each replica is guarded by its own circuit breaker
-// (the exact state machine the batch executor uses), so a dead backend
-// is ejected from rotation without tripping a global breaker; when
-// every replica is ejected the pool fails fast with
-// batch.ErrCircuitOpen, which the executor's retry/fallback machinery
-// already understands.
+// Each replica is guarded by its own circuit breaker (batch.Breaker),
+// so a dead backend is ejected from rotation while the healthy ones
+// keep serving; a pool of one slot is how core guards an unpooled
+// plan. Transient errors and attempts past the executor's QueryTimeout
+// count against a replica; other cancellations do not. When every
+// replica is ejected the pool fails with batch.ErrCircuitOpen without
+// calling one, and the executor returns that at once, without retry.
 //
 // Optionally the pool hedges: if the first replica has not answered
 // within HedgeAfter, the same prompt is sent to a second replica and
@@ -96,9 +97,8 @@ type Config struct {
 
 // replica is one backend plus its routing health state.
 type replica struct {
-	p     llm.Predictor
-	cp    llm.ContextPredictor // non-nil when p supports cancellation
-	brk   *batch.Breaker       // nil when breakers are disabled
+	p     llm.ContextPredictor
+	brk   *batch.Breaker // nil when breakers are disabled
 	label string
 	// rid is the replica's rendezvous identity: the backend's
 	// answer-function identity, disambiguated with a stable #slot
@@ -159,6 +159,7 @@ type Pool struct {
 // New builds a pool over the given replicas. The same predictor value
 // may appear several times (e.g. one concurrency-safe *llm.Sim as N
 // replicas); each slot still gets its own breaker and health state.
+// Legacy replicas get llm.WithContext.
 func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("pool: no replicas")
@@ -172,10 +173,7 @@ func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 		if r == nil {
 			return nil, fmt.Errorf("pool: replica %d is nil", i)
 		}
-		rep := &replica{p: r, label: fmt.Sprintf("%d", i)}
-		if cp, ok := r.(llm.ContextPredictor); ok {
-			rep.cp = cp
-		}
+		rep := &replica{p: llm.WithContext(r), label: fmt.Sprintf("%d", i)}
 		rep.brk = batch.NewBreaker(cfg.Breaker, rec, "replica", rep.label)
 		p.replicas = append(p.replicas, rep)
 	}
@@ -313,21 +311,14 @@ func (p *Pool) attempt(promptText string, rng *xrand.RNG) Attempt {
 }
 
 // do runs one attempt on r, updating health state and feeding the
-// breaker. Cancellations (the caller gave up, or a hedge race was lost)
-// and client-side API errors do not count against the backend. The
-// attempt gets its own child span, and context-aware replicas receive
-// it so a remote hop (llm.HTTPPredictor) can continue the trace.
+// breaker (see judge). The attempt gets its own child span, which the
+// replica receives so a remote hop (llm.HTTPPredictor) can continue the
+// trace.
 func (p *Pool) do(ctx context.Context, r *replica, promptText string, hedge bool) (llm.Response, error) {
 	actx, sp := obs.StartSpanCtx(ctx, p.rec, "pool.attempt", "replica", r.label, "hedge", fmt.Sprint(hedge))
 	r.inflight.Add(1)
 	start := time.Now()
-	var resp llm.Response
-	var err error
-	if r.cp != nil {
-		resp, err = r.cp.QueryContext(actx, promptText)
-	} else {
-		resp, err = r.p.Query(promptText)
-	}
+	resp, err := r.p.QueryContext(actx, promptText)
 	r.inflight.Add(-1)
 	if ctx.Err() == nil {
 		// Only completed attempts teach the EWMA. A canceled attempt —
@@ -356,8 +347,10 @@ func (p *Pool) judge(ctx context.Context, r *replica, err error) {
 	switch {
 	case err == nil:
 		r.brk.Report(true)
-	case ctx.Err() != nil:
-		// Canceled or past its deadline: not the backend's fault.
+	case ctx.Err() != nil && !errors.Is(context.Cause(ctx), batch.ErrQueryTimeout):
+		// Canceled (hedge loser, caller gave up): not the backend's
+		// fault. An expired executor deadline is: the replica was too
+		// slow to answer, so default reports a failure.
 		r.brk.Cancel()
 	default:
 		var apiErr *llm.APIError

@@ -20,8 +20,8 @@ import (
 	"repro/internal/tag"
 )
 
-// postQuery fires one POST /v1/query and decodes the reply.
-func postQuery(t testing.TB, url, tenant string, node int) (int, string, QueryResponse) {
+// postSoakQuery fires one POST /v1/query and decodes the reply.
+func postSoakQuery(t testing.TB, url, tenant string, node int) (int, string, QueryResponse) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+QueryPath,
 		strings.NewReader(fmt.Sprintf(`{"node": %d}`, node)))
@@ -78,7 +78,7 @@ func TestSoakServeMixedTenants(t *testing.T) {
 			got := make(map[int]string, len(nodes))
 			for i := range nodes {
 				node := int(nodes[(i+ten*7)%len(nodes)])
-				code, _, qr := postQuery(t, ts.URL, fmt.Sprintf("tenant-%d", ten), node)
+				code, _, qr := postSoakQuery(t, ts.URL, fmt.Sprintf("tenant-%d", ten), node)
 				if code != http.StatusOK {
 					t.Errorf("tenant %d node %d: status %d", ten, node, code)
 					return
@@ -118,7 +118,7 @@ func TestSoakServeMixedTenants(t *testing.T) {
 		go func(ten int) {
 			defer warm.Done()
 			for _, v := range nodes {
-				if code, _, _ := postQuery(t, ts.URL, fmt.Sprintf("warm-%d", ten), int(v)); code != http.StatusOK {
+				if code, _, _ := postSoakQuery(t, ts.URL, fmt.Sprintf("warm-%d", ten), int(v)); code != http.StatusOK {
 					t.Errorf("warm tenant %d node %d: status %d", ten, v, code)
 					return
 				}
@@ -182,7 +182,7 @@ func TestSoakServeBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, retryAfter, _ := postQuery(t, ts.URL, fmt.Sprintf("flood-%d", i%4), int(f.split.Query[i%len(f.split.Query)]))
+			code, retryAfter, _ := postSoakQuery(t, ts.URL, fmt.Sprintf("flood-%d", i%4), int(f.split.Query[i%len(f.split.Query)]))
 			switch code {
 			case http.StatusOK:
 				ok.Add(1)

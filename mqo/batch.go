@@ -34,17 +34,20 @@ var ErrBudgetExhausted = batch.ErrBudgetExhausted
 // outlived the per-query deadline (Options.QueryTimeout).
 var ErrQueryTimeout = batch.ErrQueryTimeout
 
-// ErrCircuitOpen marks queries rejected fast because the circuit
-// breaker judged the backend down (Options.BreakerThreshold).
+// ErrCircuitOpen marks queries rejected fast because every replica's
+// circuit breaker judged its backend down (Options.BreakerThreshold).
+// The executor returns it without retry or backoff.
 var ErrCircuitOpen = batch.ErrCircuitOpen
 
-// BreakerConfig configures the circuit breaker guarding the predictor;
-// the zero value disables it.
+// BreakerConfig configures the per-replica circuit breakers of a pool
+// (PoolConfig.Breaker); the zero value disables them. BatchConfig has
+// no breaker: wrap the predictor in a pool to guard it.
 type BreakerConfig = batch.BreakerConfig
 
 // ContextPredictor is a Predictor whose calls can be canceled via a
 // context; HTTP predictors implement it, and the executor's
-// QueryTimeout path uses it to abandon hung calls promptly.
+// QueryTimeout path uses it to abandon hung calls promptly (legacy
+// predictors get a watchdog instead).
 type ContextPredictor = llm.ContextPredictor
 
 // FaultConfig parameterizes deterministic fault injection for chaos

@@ -185,10 +185,12 @@ type Options struct {
 	// ErrQueryTimeout, so one hung request cannot stall the batch.
 	QueryTimeout time.Duration
 	// BreakerThreshold is the number of consecutive transient failures
-	// (timeouts, 5xx, transport errors) that opens a circuit breaker in
-	// front of the predictor; 0 disables the breaker. While open,
-	// queries fail fast with ErrCircuitOpen instead of queuing behind a
-	// dead backend.
+	// (timeouts, 5xx, transport errors) that opens a replica slot's
+	// circuit breaker; 0 disables the breakers. Every run routes through
+	// the replica pool with one breaker per slot, so without Replicas or
+	// ReplicaSet this is the one breaker in front of the predictor. While
+	// every slot is open, queries fail fast with ErrCircuitOpen — no
+	// retry, no backoff — instead of queuing behind a dead backend.
 	BreakerThreshold int
 	// BreakerCooldown is how long the breaker stays open before probing
 	// the backend again; 0 means the 30s default.
@@ -196,8 +198,7 @@ type Options struct {
 	// Replicas, when > 1, fans queries across that many replica slots
 	// of the predictor through the health-aware pool: power-of-two-
 	// choices routing by EWMA latency and in-flight count, with one
-	// circuit breaker per replica (BreakerThreshold then configures the
-	// per-replica breakers; no global breaker runs). With the simulator
+	// circuit breaker per replica (BreakerThreshold). With the simulator
 	// — whose answers are keyed on hash(seed, prompt) — predictions are
 	// bit-identical for any replica count. To pool *distinct* backends
 	// (e.g. several HTTP endpoints), set ReplicaSet instead.
