@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) -run '^$$' ./internal/load/
 	$(GO) test -fuzz FuzzCompress -fuzzminimizetime 10x -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
 	$(GO) test -fuzz FuzzCount -fuzztime $(FUZZTIME) -run '^$$' ./internal/token/
+	$(GO) test -fuzz FuzzVocab -fuzztime $(FUZZTIME) -run '^$$' ./internal/encode/
 
 # soak runs the chaos soak (replica pool + hedging + breakers + disk
 # cache + surrogate fallback under injected faults) and the serving-tier

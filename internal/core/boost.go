@@ -61,9 +61,9 @@ func Boost(ctx *predictors.Context, m predictors.Method, p llm.Predictor, plan P
 // BoostWith is Boost with bounded concurrency inside each round. Rounds
 // are already barriers — neighbor selections and prompts are fixed
 // before a round executes and pseudo-labels are applied only after it —
-// so running a round's queries in parallel is semantics-preserving:
-// with an order-independent predictor, any worker count produces
-// bit-identical rounds, predictions and token totals.
+// so selecting, building and running a round's queries in parallel is
+// semantics-preserving: with an order-independent predictor, any worker
+// count produces bit-identical rounds, predictions and token totals.
 //
 // A query whose dispatch fails permanently is dropped from the pending
 // set (its pseudo-label never appears) and reported in the aggregated
@@ -116,20 +116,21 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		}
 
 		// Step 1: candidate selection with refreshed neighbor text,
-		// relaxing thresholds until candidates exist.
-		type cand struct {
-			v   tag.NodeID
-			sel []predictors.Selected
-		}
-		var cands []cand
-		for len(cands) == 0 {
-			for _, v := range pending {
-				var sel []predictors.Selected
-				if !plan.Prune[v] {
-					sel = m.Select(ctx, v)
-				}
+		// relaxing thresholds until candidates exist. ctx.Known changes
+		// only between rounds, so each unpruned pending query is
+		// selected once per round — across the workers, each writing its
+		// own index — and relaxing re-filters those selections.
+		sels := make([][]predictors.Selected, len(pending))
+		fanOut(ecfg.Workers, len(pending), func(i int) {
+			if v := pending[i]; !plan.Prune[v] {
+				sels[i] = m.Select(ctx, v)
+			}
+		})
+		var cands []int // indices into pending, in pending order
+		for {
+			for i, sel := range sels {
 				if predictors.CountLabeled(sel) >= g1 && predictors.LabelConflicts(sel) <= g2 {
-					cands = append(cands, cand{v: v, sel: sel})
+					cands = append(cands, i)
 				}
 			}
 			if len(cands) > 0 {
@@ -154,12 +155,13 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		roundPseudo := 0
 		planned := make([]plannedQuery, len(cands))
 		for i, c := range cands {
-			for _, s := range c.sel {
+			v, sel := pending[c], sels[c]
+			for _, s := range sel {
 				if s.Label != "" && isPseudo[s.ID] {
 					roundPseudo++
 				}
 			}
-			planned[i] = plannedQuery{v: c.v, pruned: plan.Prune[c.v], equipped: len(c.sel) > 0, sel: c.sel}
+			planned[i] = plannedQuery{v: v, pruned: plan.Prune[v], equipped: len(sel) > 0, sel: sel}
 		}
 		preparePrompts(ctx, m.Ranked(), planned, ecfg, rec, "boost")
 		if rs != nil {
@@ -171,7 +173,6 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			roundSpan.End()
 			return nil, nil, err
 		}
-		executedSet := make(map[tag.NodeID]bool, len(planned))
 		type outcome struct {
 			v        tag.NodeID
 			category string
@@ -180,7 +181,6 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		// Apply results in candidate order, regardless of completion
 		// order across workers.
 		for _, q := range planned {
-			executedSet[q.v] = true
 			o := batchOut[q.v]
 			if o.Err != nil {
 				rec.Add(metricQueryErrors, 1, "mode", "boost")
@@ -215,11 +215,14 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			ctx.Known[o.v] = o.category
 			isPseudo[o.v] = true
 		}
-		next := pending[:0]
-		for _, v := range pending {
-			if !executedSet[v] {
-				next = append(next, v)
+		// Every candidate leaves the pending set, answered or not.
+		next, c := pending[:0], 0
+		for i, v := range pending {
+			if c < len(cands) && cands[c] == i {
+				c++
+				continue
 			}
+			next = append(next, v)
 		}
 		pending = next
 

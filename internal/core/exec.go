@@ -182,18 +182,19 @@ func ExecuteQueryVanilla(ctx *predictors.Context, p llm.Predictor, v tag.NodeID)
 // With Workers > 1 the queries of a plan (or of one boosting round,
 // whose prompts are fixed before the round executes) run concurrently
 // through the batch executor, and Workers also bounds the goroutines
-// that build and compress the planned prompts before dispatch. Neighbor
-// selection stays on the calling goroutine, prompts are pure functions
-// of the selections, and results are applied in stable plan order, so
-// — given an order-independent predictor such as *llm.Sim or an HTTP
-// endpoint at temperature 0 — predictions, token totals and accuracy
-// are bit-identical for any worker count. The one exception is
+// that plan them: neighbor selection, prompt construction and
+// compression fan out between writes to ctx.Known, never across one.
+// Each planned query is written only at its own index, prompts are pure
+// functions of the selections, and results are applied in stable plan
+// order, so — given an order-independent predictor such as *llm.Sim or
+// an HTTP endpoint at temperature 0 — predictions, token totals and
+// accuracy are bit-identical for any worker count. The one exception is
 // BudgetTokens: which queries are refused once a hard token cap trips
 // depends on completion order.
 type ExecConfig struct {
 	// Workers is the number of concurrent in-flight queries, and of
-	// goroutines building and compressing planned prompts; values below
-	// 1 mean serial execution.
+	// goroutines selecting neighbors for, building and compressing
+	// planned prompts; values below 1 mean serial execution.
 	Workers int
 	// QPS caps the dispatch rate across workers; 0 means unlimited.
 	QPS float64
@@ -472,8 +473,8 @@ type plannedQuery struct {
 	v        tag.NodeID
 	pruned   bool
 	equipped bool
-	// sel is the query's neighbor selection, made on the planning
-	// goroutine; preparePrompts builds the prompt from it.
+	// sel is the query's neighbor selection, made while planning;
+	// preparePrompts builds the prompt from it.
 	sel    []predictors.Selected
 	prompt string
 	// compressWall/compressed record the compression stage's cost and
@@ -483,44 +484,52 @@ type plannedQuery struct {
 	compressed   prompt.CompressStats
 }
 
+// fanOut calls f(i) once for every i in [0, n), across at most workers
+// goroutines that claim indices in order; with one worker (or one item)
+// it runs inline on the caller. It returns when every call has. f must
+// write only to state owned by index i, so the result is the same at
+// any worker count.
+func fanOut(workers, n int, f func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // preparePrompts fixes the prompt of every planned query: it builds
 // the prompt from the query's selection and, with compression enabled,
 // compresses it in place, so everything downstream — dispatch, caching,
 // token metering — sees only the compressed bytes. Both steps are pure
-// functions of the query and the read-only parts of ctx, so they run
-// across up to cfg.Workers goroutines, each writing back only its own
-// index; with one worker they run inline. The compression metrics are
-// recorded afterwards in plan order, so prompts and metrics are
-// identical at any worker count.
+// functions of the query and the read-only parts of ctx, so they fan
+// out across cfg.Workers. The compression metrics are recorded
+// afterwards in plan order, so prompts and metrics are identical at any
+// worker count.
 func preparePrompts(ctx *predictors.Context, ranked bool, planned []plannedQuery, cfg ExecConfig, rec obs.Recorder, mode string) {
 	comp := cfg.Compress
-	prepare := func(q *plannedQuery) {
+	fanOut(cfg.Workers, len(planned), func(i int) {
+		q := &planned[i]
 		q.prompt = predictors.BuildPrompt(ctx, q.v, q.sel, ranked && len(q.sel) > 0)
 		if comp.Enabled() {
 			start := time.Now()
 			q.prompt, q.compressed = comp.CompressStats(q.prompt)
 			q.compressWall = time.Since(start)
 		}
-	}
-	workers := min(cfg.Workers, len(planned))
-	if workers <= 1 {
-		for i := range planned {
-			prepare(&planned[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1) - 1); i < len(planned); i = int(next.Add(1) - 1) {
-					prepare(&planned[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if comp.Enabled() {
 		for _, q := range planned {
 			rec.Add(metricCompressedTokens, float64(q.compressed.Saved()), "mode", mode)
@@ -529,19 +538,20 @@ func preparePrompts(ctx *predictors.Context, ranked bool, planned []plannedQuery
 	}
 }
 
-// buildQueries plans the given nodes: neighbor selection runs on the
-// calling goroutine, keeping Method and Context single-threaded, and
-// preparePrompts then fixes every prompt across cfg.Workers.
+// buildQueries plans the given nodes. ctx.Known is not written while a
+// plan is built, so neighbor selection fans out across cfg.Workers like
+// prompt construction (the Method contract allows concurrent Select on
+// such a Context), and preparePrompts then fixes every prompt.
 func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, cfg ExecConfig, rec obs.Recorder, mode string) []plannedQuery {
 	out := make([]plannedQuery, len(queries))
-	for i, v := range queries {
-		q := plannedQuery{v: v, pruned: prune[v]}
+	fanOut(cfg.Workers, len(queries), func(i int) {
+		q := plannedQuery{v: queries[i], pruned: prune[queries[i]]}
 		if !q.pruned {
-			q.sel = m.Select(ctx, v)
+			q.sel = m.Select(ctx, q.v)
 		}
 		q.equipped = len(q.sel) > 0
 		out[i] = q
-	}
+	})
 	preparePrompts(ctx, m.Ranked(), out, cfg, rec, mode)
 	return out
 }

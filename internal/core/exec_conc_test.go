@@ -223,14 +223,14 @@ func (p *recordingPredictor) Query(promptText string) (llm.Response, error) {
 	return p.inner.Query(promptText)
 }
 
-// TestCompressedPlansIdenticalAcrossWorkers: compression runs across
-// the executor's workers, so the worker count must change nothing a
+// TestCompressedPlansIdenticalAcrossWorkers: neighbor selection, prompt
+// construction and compression all run across the executor's workers,
+// so for every standard method the worker count must change nothing a
 // caller can observe — predictions, meters, rounds, pseudo-label uses,
-// the exact prompt bytes the predictor received, and the compression
-// savings metric — in plain and boosted execution alike.
+// round traces, the exact prompt bytes the predictor received, and the
+// compression savings metric — in plain and boosted execution alike.
 func TestCompressedPlansIdenticalAcrossWorkers(t *testing.T) {
 	f := newFixture(t, 400, 120, 41)
-	m := predictors.KHopRandom{K: 1}
 	plan := RandomPrunePlan(f.split.Query, 0.2, 41)
 	type outcome struct {
 		res     *Results
@@ -238,7 +238,7 @@ func TestCompressedPlansIdenticalAcrossWorkers(t *testing.T) {
 		prompts []string
 		saved   float64
 	}
-	run := func(boost bool, workers int) outcome {
+	run := func(m predictors.Method, boost bool, workers int) outcome {
 		ctx := f.freshCtx()
 		ctx.IncludeAbstracts = true
 		reg := obs.NewRegistry()
@@ -264,27 +264,29 @@ func TestCompressedPlansIdenticalAcrossWorkers(t *testing.T) {
 		out.saved = reg.CounterValue(metricCompressedTokens, "mode", mode)
 		return out
 	}
-	for _, boost := range []bool{false, true} {
-		want := run(boost, 1)
-		if want.saved == 0 {
-			t.Fatalf("boost=%v: compression saved no tokens; the test needs abstracts to drop", boost)
-		}
-		for _, workers := range []int{2, 8} {
-			label := fmt.Sprintf("boost=%v workers=%d", boost, workers)
-			got := run(boost, workers)
-			assertSameResults(t, label, want.res, got.res)
-			if got.res.Rounds != want.res.Rounds || got.res.PseudoLabelUses != want.res.PseudoLabelUses {
-				t.Fatalf("%s: rounds %d, pseudo-label uses %d; want %d, %d", label,
-					got.res.Rounds, got.res.PseudoLabelUses, want.res.Rounds, want.res.PseudoLabelUses)
+	for _, m := range predictors.Standard() {
+		for _, boost := range []bool{false, true} {
+			want := run(m, boost, 1)
+			if want.saved == 0 {
+				t.Fatalf("%s boost=%v: compression saved no tokens; the test needs abstracts to drop", m.Name(), boost)
 			}
-			if !slices.Equal(got.trace, want.trace) {
-				t.Fatalf("%s: round traces differ:\n%+v\n%+v", label, got.trace, want.trace)
-			}
-			if !slices.Equal(got.prompts, want.prompts) {
-				t.Fatalf("%s: the predictor received different prompts", label)
-			}
-			if got.saved != want.saved {
-				t.Fatalf("%s: %s = %v, want %v", label, metricCompressedTokens, got.saved, want.saved)
+			for _, workers := range []int{2, 8} {
+				label := fmt.Sprintf("%s boost=%v workers=%d", m.Name(), boost, workers)
+				got := run(m, boost, workers)
+				assertSameResults(t, label, want.res, got.res)
+				if got.res.Rounds != want.res.Rounds || got.res.PseudoLabelUses != want.res.PseudoLabelUses {
+					t.Fatalf("%s: rounds %d, pseudo-label uses %d; want %d, %d", label,
+						got.res.Rounds, got.res.PseudoLabelUses, want.res.Rounds, want.res.PseudoLabelUses)
+				}
+				if !slices.Equal(got.trace, want.trace) {
+					t.Fatalf("%s: round traces differ:\n%+v\n%+v", label, got.trace, want.trace)
+				}
+				if !slices.Equal(got.prompts, want.prompts) {
+					t.Fatalf("%s: the predictor received different prompts", label)
+				}
+				if got.saved != want.saved {
+					t.Fatalf("%s: %s = %v, want %v", label, metricCompressedTokens, got.saved, want.saved)
+				}
 			}
 		}
 	}

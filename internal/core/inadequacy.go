@@ -63,6 +63,9 @@ type Inadequacy struct {
 	ensemble *nn.Ensemble
 	w        []float64 // per-class LLM misclassification ratios
 	reg      *nn.LinReg
+	// workers bounds the goroutines Rank scores queries on: the fit's
+	// Exec.Workers.
+	workers int
 	// CalibrationQueries counts the LLM queries spent estimating w —
 	// the strategy's (small) fixed overhead.
 	CalibrationQueries int
@@ -178,7 +181,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 		}
 	}
 
-	iq := &Inadequacy{enc: enc, ensemble: ensemble, w: w, CalibrationQueries: len(calib)}
+	iq := &Inadequacy{enc: enc, ensemble: ensemble, w: w, workers: cfg.Exec.Workers, CalibrationQueries: len(calib)}
 
 	// Step 3: fit the channel-merging regression on the calibration
 	// nodes that actually got an answer.
@@ -246,13 +249,17 @@ func (iq *Inadequacy) Weights() []float64 {
 
 // Rank orders the queries by ascending D(t_i) — saturated nodes first —
 // returning the ordered IDs and a score lookup (step 6 of Algorithm 1).
+// Scoring is a pure function of each node's text, so it fans out across
+// the fit's Exec.Workers; the order is the same at any worker count.
 func (iq *Inadequacy) Rank(g *tag.Graph, queries []tag.NodeID) ([]tag.NodeID, map[tag.NodeID]float64) {
+	vals := make([]float64, len(queries))
+	fanOut(iq.workers, len(queries), func(i int) { vals[i] = iq.ScoreNode(g, queries[i]) })
 	scores := make(map[tag.NodeID]float64, len(queries))
+	for i, v := range queries {
+		scores[v] = vals[i]
+	}
 	order := make([]tag.NodeID, len(queries))
 	copy(order, queries)
-	for _, v := range queries {
-		scores[v] = iq.ScoreNode(g, v)
-	}
 	sort.SliceStable(order, func(i, j int) bool {
 		if scores[order[i]] != scores[order[j]] {
 			return scores[order[i]] < scores[order[j]]

@@ -10,9 +10,13 @@
 package encode
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // Encoder maps text to fixed-size feature vectors. Construct one with
@@ -30,43 +34,138 @@ func (e *Encoder) Dims() int { return len(e.words) }
 // Word returns the vocabulary word mapped to dimension d.
 func (e *Encoder) Word(d int) string { return e.words[d] }
 
+// minShardDocs is the fewest documents worth a goroutine of their own
+// when counting document frequencies.
+const minShardDocs = 256
+
 // vocabOf selects the maxFeatures most document-frequent words of the
-// corpus, breaking ties lexicographically for determinism.
+// corpus, breaking ties lexicographically for determinism. The count is
+// sharded over min(GOMAXPROCS, docs/minShardDocs) goroutines.
 func vocabOf(corpus []string, maxFeatures int) ([]string, map[string]int, []int) {
-	df := map[string]int{}
-	// One seen-set serves every document: clearing keeps its buckets,
-	// where a fresh map per document would regrow them each time.
-	seen := map[string]bool{}
-	for _, doc := range corpus {
-		clear(seen)
-		for _, w := range strings.Fields(doc) {
-			if !seen[w] {
-				seen[w] = true
-				df[w]++
-			}
+	return vocabSharded(corpus, maxFeatures, min(runtime.GOMAXPROCS(0), len(corpus)/minShardDocs))
+}
+
+// vocabSharded is vocabOf with the corpus split into the given number
+// of contiguous shards, counted concurrently and summed. Document
+// frequencies are integer sums and the sort below is a total order, so
+// the result does not depend on the shard count.
+func vocabSharded(corpus []string, maxFeatures, shards int) ([]string, map[string]int, []int) {
+	shards = max(1, min(shards, len(corpus)))
+	tables := make([]dfTable, shards)
+	var wg sync.WaitGroup
+	for s := range tables {
+		lo, hi := s*len(corpus)/shards, (s+1)*len(corpus)/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tables[s].count(corpus[lo:hi])
+		}()
+	}
+	wg.Wait()
+	all := &tables[0]
+	for _, t := range tables[1:] {
+		for _, e := range t.ents {
+			all.add(e.word, e.df)
 		}
 	}
-	words := make([]string, 0, len(df))
-	for w := range df {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool {
-		if df[words[i]] != df[words[j]] {
-			return df[words[i]] > df[words[j]]
+	ents := all.ents
+	slices.SortFunc(ents, func(a, b dfCount) int {
+		if a.df != b.df {
+			return cmp.Compare(b.df, a.df)
 		}
-		return words[i] < words[j]
+		return strings.Compare(a.word, b.word)
 	})
-	if maxFeatures > 0 && len(words) > maxFeatures {
-		words = words[:maxFeatures]
+	if maxFeatures > 0 && len(ents) > maxFeatures {
+		ents = ents[:maxFeatures]
 	}
-	index := make(map[string]int, len(words))
-	freqs := make([]int, len(words))
-	for i, w := range words {
+	words := make([]string, len(ents))
+	index := make(map[string]int, len(ents))
+	freqs := make([]int, len(ents))
+	for i, e := range ents {
+		// A word is a substring of its document; cloning it lets the
+		// corpus go once the encoder is built.
+		w := strings.Clone(e.word)
+		words[i] = w
 		index[w] = i
-		freqs[i] = df[w]
+		freqs[i] = e.df
 	}
 	return words, index, freqs
 }
+
+// dfCount is one word's document frequency, with the last document
+// that counted it so a word repeated within a document counts once.
+type dfCount struct {
+	word string
+	df   int
+	last int
+}
+
+// dfTable counts document frequencies with one map lookup per word.
+type dfTable struct {
+	at   map[string]int // word -> index into ents
+	ents []dfCount
+}
+
+// add returns the entry of word, creating it with df n when absent and
+// otherwise adding n to its df.
+func (t *dfTable) add(word string, n int) *dfCount {
+	if t.at == nil {
+		t.at = map[string]int{}
+	}
+	j, ok := t.at[word]
+	if !ok {
+		t.at[word] = len(t.ents)
+		t.ents = append(t.ents, dfCount{word: word, df: n, last: -1})
+		return &t.ents[len(t.ents)-1]
+	}
+	e := &t.ents[j]
+	e.df += n
+	return e
+}
+
+// count adds the document frequencies of docs.
+func (t *dfTable) count(docs []string) {
+	for d, doc := range docs {
+		eachField(doc, func(w string) {
+			if e := t.add(w, 0); e.last != d {
+				e.last = d
+				e.df++
+			}
+		})
+	}
+}
+
+// eachField calls f on every word of s, exactly the words (and order)
+// strings.Fields(s) returns. ASCII text is split in place without
+// allocating; text holding any non-ASCII byte goes through
+// strings.Fields itself, which owns the Unicode whitespace rules.
+func eachField(s string, f func(string)) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			for _, w := range strings.Fields(s) {
+				f(w)
+			}
+			return
+		}
+	}
+	start := -1
+	for i := 0; i < len(s); i++ {
+		if asciiSpace[s[i]] {
+			if start >= 0 {
+				f(s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		f(s[start:])
+	}
+}
+
+// asciiSpace marks the ASCII bytes strings.Fields splits on.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // NewBoW builds a bag-of-words encoder over the corpus, keeping at most
 // maxFeatures dimensions (0 keeps everything).
@@ -92,11 +191,11 @@ func NewTFIDF(corpus []string, maxFeatures int) *Encoder {
 // L2-normalized dense vector. Unknown words are ignored.
 func (e *Encoder) Encode(text string) []float64 {
 	v := make([]float64, len(e.words))
-	for _, w := range strings.Fields(text) {
+	eachField(text, func(w string) {
 		if d, ok := e.index[w]; ok {
 			v[d]++
 		}
-	}
+	})
 	if e.idf != nil {
 		for d := range v {
 			v[d] *= e.idf[d]
@@ -110,11 +209,11 @@ func (e *Encoder) Encode(text string) []float64 {
 // for similarity over large vocabularies.
 func (e *Encoder) EncodeSparse(text string) map[int]float64 {
 	v := map[int]float64{}
-	for _, w := range strings.Fields(text) {
+	eachField(text, func(w string) {
 		if d, ok := e.index[w]; ok {
 			v[d]++
 		}
-	}
+	})
 	if e.idf != nil {
 		for d := range v {
 			v[d] *= e.idf[d]

@@ -13,8 +13,10 @@ package predictors
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/encode"
 	"repro/internal/obs"
@@ -42,15 +44,17 @@ func CountLabeled(sel []Selected) int {
 }
 
 // LabelConflicts returns LC_i: the number of distinct label values
-// among the labeled selected neighbors (Eq. 11).
+// among the labeled selected neighbors (Eq. 11). A selection holds at
+// most M entries, so it counts each label at its first occurrence with
+// a scan of the entries before it rather than allocating a set.
 func LabelConflicts(sel []Selected) int {
-	seen := map[string]bool{}
-	for _, s := range sel {
-		if s.Label != "" {
-			seen[s.Label] = true
+	n := 0
+	for i, s := range sel {
+		if s.Label != "" && !slices.ContainsFunc(sel[:i], func(t Selected) bool { return t.Label == s.Label }) {
+			n++
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // Context carries everything a method needs to select neighbors and
@@ -79,7 +83,8 @@ type Context struct {
 	// unless obs.SetDefault installed a registry).
 	Obs obs.Recorder
 
-	sim *Similarity // lazily built by SNS
+	simMu sync.Mutex  // guards sim
+	sim   *Similarity // lazily built by SNS
 }
 
 // nodeRNG returns the deterministic stream for sampling around node v.
@@ -88,6 +93,11 @@ func (ctx *Context) nodeRNG(v tag.NodeID) *xrand.RNG {
 }
 
 // Method selects prompt neighbors for a query node.
+//
+// Select may be called concurrently on a Context whose Known is not
+// being written: plan execution fans selection out across its workers
+// between boosting rounds. A method must therefore keep any state it
+// builds lazily safe for concurrent use.
 type Method interface {
 	Name() string
 	// Ranked reports whether the method orders neighbors most-related
@@ -253,7 +263,11 @@ func (s *Similarity) Score(a, b tag.NodeID) float64 {
 }
 
 // similarity lazily builds (and caches) the dataset's similarity index.
+// Concurrent first callers wait for one build rather than racing to
+// each make their own.
 func (ctx *Context) similarity() *Similarity {
+	ctx.simMu.Lock()
+	defer ctx.simMu.Unlock()
 	if ctx.sim == nil {
 		ctx.sim = NewSimilarity(ctx.Graph)
 	}
@@ -262,7 +276,11 @@ func (ctx *Context) similarity() *Similarity {
 
 // SetSimilarity installs a prebuilt similarity index (useful when
 // several contexts share one dataset).
-func (ctx *Context) SetSimilarity(s *Similarity) { ctx.sim = s }
+func (ctx *Context) SetSimilarity(s *Similarity) {
+	ctx.simMu.Lock()
+	ctx.sim = s
+	ctx.simMu.Unlock()
+}
 
 // BuildPrompt renders the query prompt for node v with the selected
 // neighbors, following the method's ranking convention.
