@@ -18,10 +18,11 @@ race:
 
 # stress repeats the timing-sensitive resilience tests (breakers,
 # timeouts, circuit rejections, replica ejection, the legacy-predictor
-# watchdog) under the race detector, so a flake shows up in CI instead
-# of one run in N.
+# watchdog), the executor's single-flight and the exact trace-tiling
+# check under the race detector, so a flake shows up in CI instead of
+# one run in N.
 stress:
-	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog' ./internal/batch ./internal/pool ./internal/core
+	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog|SingleFlight|StitchedTraces' ./internal/batch ./internal/pool ./internal/core
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

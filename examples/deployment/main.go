@@ -62,7 +62,6 @@ func main() {
 	exec, err := mqo.NewBatchExecutor(remote, mqo.BatchConfig{
 		Workers: 8,
 		QPS:     500,
-		Cache:   true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,9 +1,10 @@
 // Package batch executes large sets of LLM queries against real-world
 // API constraints: bounded concurrency, rate limits, transient
-// failures, a hard token budget, response caching and a JSONL audit
-// log. It is the operational layer under the paper's multi-query
-// optimization: Algorithm 1/2 decide *what* to ask; this package gets
-// the batch asked reliably and within budget.
+// failures, a hard token budget, single-flight deduplication, an
+// optional persistent answer store and a JSONL audit log. It is the
+// operational layer under the paper's multi-query optimization:
+// Algorithm 1/2 decide *what* to ask; this package gets the batch asked
+// reliably and within budget.
 //
 // The executor preserves the black-box Predictor contract — it only
 // sees prompt strings — so it works identically over the simulator and
@@ -83,15 +84,12 @@ type Config struct {
 	// are abandoned by llm.WithContext's watchdog (their goroutine
 	// finishes — or parks — in the background).
 	QueryTimeout time.Duration
-	// Cache serves repeated prompts from memory instead of re-querying.
-	Cache bool
-	// Disk, when non-nil, adds a persistent tier behind the memory
-	// cache: misses consult the disk cache before paying for a
-	// predictor call, and fresh answers are written through to it.
-	// Setting Disk implies Cache — the memory tier fronts the disk tier
-	// so a hot prompt is served without touching shard locks. Lookups
-	// run inside the single-flight critical section, so concurrent
-	// identical prompts cost at most one disk read.
+	// Disk, when non-nil, is the answer store: requests consult it
+	// before paying for a predictor call, and fresh answers are written
+	// through to it. Its live entries are memory-resident, so a hit is
+	// a map lookup under a shard lock. Lookups run inside the
+	// single-flight critical section, so concurrent identical prompts
+	// cost at most one lookup.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
@@ -132,16 +130,19 @@ var ErrQueryTimeout = errors.New("batch: query timed out")
 type Outcome struct {
 	Response llm.Response
 	Err      error
-	// Cached reports that the response was served from the cache.
+	// Cached reports that the response came from the answer store or
+	// from a concurrent identical request (single-flight) rather than
+	// from a predictor call made for this request.
 	Cached bool
 	// Attempts counts predictor calls a backend actually received for
 	// this request: 0 when cached, skipped, or refused by open breakers
 	// (ErrCircuitOpen).
 	Attempts int
 	// Finished is when the worker completed the request (zero for
-	// requests never dispatched). Callers that opened a span per
-	// request close it with Span.EndAt(Finished), so recorded query
-	// durations exclude batch result-collection overhead.
+	// requests never dispatched). When tracing is live it is the exact
+	// instant the request's residual charge runs to, so a caller that
+	// closes its per-request span and ledger at Finished gets billed
+	// stages that tile the span with no gap.
 	Finished time.Time
 }
 
@@ -151,7 +152,8 @@ type Result struct {
 	Outcomes map[string]Outcome
 	// TokensUsed is the total input+output tokens actually spent.
 	TokensUsed int
-	// CacheHits counts requests served from the cache.
+	// CacheHits counts requests answered without a predictor call of
+	// their own (Outcome.Cached).
 	CacheHits int
 	// Failed counts requests whose final outcome is an error.
 	Failed int
@@ -165,7 +167,6 @@ type Executor struct {
 	cfg Config
 
 	mu     sync.Mutex
-	cache  map[string]llm.Response
 	flight map[string]*flightCall
 	logErr error
 
@@ -216,12 +217,7 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
 	}
-	e := &Executor{p: llm.WithContext(p), cfg: cfg}
-	if cfg.Cache || cfg.Disk != nil {
-		e.cache = make(map[string]llm.Response)
-		e.flight = make(map[string]*flightCall)
-	}
-	return e, nil
+	return &Executor{p: llm.WithContext(p), cfg: cfg, flight: make(map[string]*flightCall)}, nil
 }
 
 // logLine is the JSONL audit record for one query.
@@ -359,7 +355,9 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 			for r := range work {
 				rec.Set(metricBatchInflight, float64(e.inflight.Add(1)))
 				o := e.one(ctx, r, bud, tick, rec)
-				o.Finished = time.Now()
+				if o.Finished.IsZero() {
+					o.Finished = time.Now()
+				}
 				rec.Set(metricBatchInflight, float64(e.inflight.Add(-1)))
 				record(r, o)
 			}
@@ -424,8 +422,9 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 	obs.Charge(c.ctx, stage, wall, tokens, billed)
 }
 
-// one executes a single request: cache check, single-flight
-// deduplication, budget guard, rate-paced predictor calls with retry.
+// one executes a single request on one path: single-flight by prompt,
+// then the answer-store lookup (when Disk is set), then the budget
+// guard and rate-paced predictor attempts with write-through.
 func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan time.Time, rec obs.Recorder) Outcome {
 	digest := promptDigest(r.Prompt)
 	live := obs.Enabled(rec)
@@ -466,6 +465,10 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 			span.SetAttr("outcome", outcome)
 			span.SetAttr("attempts", fmt.Sprint(o.Attempts))
 			span.EndAt(end)
+			// The caller closes its query span and ledger at Finished,
+			// so ending both here at the residual's own instant leaves
+			// no unbilled gap between them.
+			o.Finished = end
 		}
 		return o
 	}
@@ -482,66 +485,52 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 		ch.charge(obs.StageCache, time.Since(pickup), resp.InputTokens+resp.OutputTokens, true)
 	}
 
-	if e.cache != nil {
-		e.mu.Lock()
-		if cached, ok := e.cache[r.Prompt]; ok {
-			e.mu.Unlock()
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: cached.Category, Cached: true})
-			cacheResolved("memory", cached)
-			return done(Outcome{Response: cached, Cached: true}, "cached")
-		}
-		// Single-flight: if another worker is already querying this
-		// exact prompt, wait for its answer instead of paying for a
-		// duplicate call (the classic cache-stampede fix).
-		if fc, ok := e.flight[r.Prompt]; ok {
-			e.mu.Unlock()
-			select {
-			case <-fc.done:
-			case <-ctx.Done():
-				rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
-				return done(Outcome{Err: ctx.Err()}, "aborted")
-			}
-			if fc.err != nil {
-				e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: fc.err.Error()})
-				cacheResolved("coalesced", llm.Response{})
-				switch {
-				case errors.Is(fc.err, ErrBudgetExhausted):
-					return done(Outcome{Err: fc.err}, "skipped")
-				case errors.Is(fc.err, ErrCircuitOpen):
-					return done(Outcome{Err: fc.err}, "rejected")
-				}
-				return done(Outcome{Err: fc.err}, "error")
-			}
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: fc.resp.Category, Cached: true})
-			cacheResolved("coalesced", fc.resp)
-			return done(Outcome{Response: fc.resp, Cached: true}, "coalesced")
-		}
-		fc := &flightCall{done: make(chan struct{})}
-		e.flight[r.Prompt] = fc
+	// Single-flight: if another worker is already resolving this exact
+	// prompt, wait for its answer instead of paying for a duplicate call
+	// (the classic cache-stampede fix).
+	e.mu.Lock()
+	if fc, ok := e.flight[r.Prompt]; ok {
 		e.mu.Unlock()
-		var o Outcome
-		var label string
-		if resp, ok := e.diskGet(r.Prompt); ok {
-			// Persistent tier: an earlier run (or an earlier stage of
-			// this one) already paid for this prompt. Promote it to the
-			// memory tier so repeats skip the shard lock.
-			o, label = Outcome{Response: resp, Cached: true}, "disk"
-			e.mu.Lock()
-			e.cache[r.Prompt] = resp
-			e.mu.Unlock()
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: resp.Category, Cached: true})
-			cacheResolved("disk", resp)
-		} else {
-			o, label = e.attempt(qctx, r, bud, tick, rec, digest, live, ch)
+		select {
+		case <-fc.done:
+		case <-ctx.Done():
+			rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
+			return done(Outcome{Err: ctx.Err()}, "aborted")
 		}
-		fc.resp, fc.err = o.Response, o.Err
-		e.mu.Lock()
-		delete(e.flight, r.Prompt)
-		e.mu.Unlock()
-		close(fc.done)
-		return done(o, label)
+		if fc.err != nil {
+			e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: fc.err.Error()})
+			cacheResolved("coalesced", llm.Response{})
+			switch {
+			case errors.Is(fc.err, ErrBudgetExhausted):
+				return done(Outcome{Err: fc.err}, "skipped")
+			case errors.Is(fc.err, ErrCircuitOpen):
+				return done(Outcome{Err: fc.err}, "rejected")
+			}
+			return done(Outcome{Err: fc.err}, "error")
+		}
+		e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: fc.resp.Category, Cached: true})
+		cacheResolved("coalesced", fc.resp)
+		return done(Outcome{Response: fc.resp, Cached: true}, "coalesced")
 	}
-	o, label := e.attempt(qctx, r, bud, tick, rec, digest, live, ch)
+	fc := &flightCall{done: make(chan struct{})}
+	e.flight[r.Prompt] = fc
+	e.mu.Unlock()
+	var o Outcome
+	var label string
+	if resp, ok := e.diskGet(r.Prompt); ok {
+		// An earlier run (or an earlier stage of this one) already paid
+		// for this prompt.
+		o, label = Outcome{Response: resp, Cached: true}, "disk"
+		e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: resp.Category, Cached: true})
+		cacheResolved("disk", resp)
+	} else {
+		o, label = e.attempt(qctx, r, bud, tick, rec, digest, live, ch)
+	}
+	fc.resp, fc.err = o.Response, o.Err
+	e.mu.Lock()
+	delete(e.flight, r.Prompt)
+	e.mu.Unlock()
+	close(fc.done)
 	return done(o, label)
 }
 
@@ -622,11 +611,6 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 		if err == nil {
 			bud.charge(resp.InputTokens + resp.OutputTokens)
 			rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
-			if e.cache != nil {
-				e.mu.Lock()
-				e.cache[r.Prompt] = resp
-				e.mu.Unlock()
-			}
 			if e.cfg.Disk != nil {
 				// Write-through is best-effort: a full or failing disk
 				// loses persistence, not the (already correct) answer.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/promptcache"
 	"repro/internal/token"
 )
 
@@ -179,7 +180,7 @@ func TestExecuteBudgetGuard(t *testing.T) {
 
 func TestExecuteCache(t *testing.T) {
 	p := newScripted()
-	e, err := New(p, Config{Workers: 1, Cache: true})
+	e, err := New(p, Config{Workers: 1, Disk: openCache(t, promptcache.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestExecuteCache(t *testing.T) {
 	if got := p.total.Load(); got != 2 {
 		t.Errorf("predictor called %d times, want 2", got)
 	}
-	// Cache persists across Execute calls on the same executor.
+	// The store answers across Execute calls on the same executor.
 	res2, err := e.Execute(context.Background(), []Request{{ID: "e", Prompt: "dup"}})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestExecuteCache(t *testing.T) {
 func TestExecuteJSONLLog(t *testing.T) {
 	var buf bytes.Buffer
 	p := newScripted()
-	e, err := New(p, Config{Workers: 1, Log: &buf, Cache: true})
+	e, err := New(p, Config{Workers: 1, Log: &buf, Disk: openCache(t, promptcache.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func (s *slowScripted) Query(prompt string) (llm.Response, error) {
 
 func TestExecuteSingleFlightDeduplicatesConcurrentPrompts(t *testing.T) {
 	p := &slowScripted{scripted: scripted{calls: map[string]int{}}, delay: 50 * time.Millisecond}
-	e, err := New(p, Config{Workers: 8, Cache: true})
+	e, err := New(p, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestExecuteSingleFlightLeaderErrorPropagates(t *testing.T) {
 		scripted: scripted{calls: map[string]int{}, failFirst: 1000, failErr: errors.New("bad request")},
 		delay:    30 * time.Millisecond,
 	}
-	e, err := New(p, Config{Workers: 4, Cache: true, MaxRetries: -1})
+	e, err := New(p, Config{Workers: 4, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

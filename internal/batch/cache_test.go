@@ -45,7 +45,7 @@ func TestDiskTierServesSecondExecutor(t *testing.T) {
 		t.Fatalf("cold run paid %d calls, want 50", p.total.Load())
 	}
 
-	// Fresh executor, fresh memory tier: every answer must come from
+	// Fresh executor over the same store: every answer must come from
 	// disk, with token meters intact so accounting reproduces.
 	e2, err := New(p, Config{Workers: 4, Disk: disk})
 	if err != nil {

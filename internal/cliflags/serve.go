@@ -67,7 +67,6 @@ func (s *Serve) Config() serve.Config {
 		TenantBudget: s.TenantBudget,
 		Exec: core.ExecConfig{
 			Workers:  s.Workers,
-			Cache:    true,
 			Compress: prompt.Compressor{Level: s.Compress, TargetTokens: s.TargetTokens},
 		},
 	}

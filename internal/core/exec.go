@@ -209,13 +209,11 @@ type ExecConfig struct {
 	// execution; queries starting past the cap fail with
 	// batch.ErrBudgetExhausted.
 	BudgetTokens int
-	// Cache serves repeated prompts from memory and single-flights
-	// concurrent duplicates.
-	Cache bool
-	// Disk adds a persistent cache tier behind the memory cache:
-	// answers survive the process, so a repeated plan (or a boosting
-	// round re-asking round-N prompts) pays zero predictor calls for
-	// prompts any earlier run already bought. Implies Cache.
+	// Disk is the answer store: answers survive the process, so a
+	// repeated plan (or a boosting round re-asking round-N prompts)
+	// pays zero predictor calls for prompts any earlier run already
+	// bought. Concurrent identical prompts are single-flighted with or
+	// without it.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor identity and prompt-template
@@ -299,8 +297,8 @@ type QueryOutcome struct {
 	// Pruned/Equipped mirror the plan entry's prompt shape.
 	Pruned   bool
 	Equipped bool
-	// Cached reports the answer came from a cache tier (memory,
-	// single-flight coalescing, or disk) instead of a fresh call.
+	// Cached reports the answer came from the answer store (Disk) or
+	// from single-flight coalescing instead of a fresh call.
 	Cached bool
 	// Fallback reports the surrogate answered after the LLM path failed
 	// permanently.
@@ -358,7 +356,7 @@ func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
 func (cfg ExecConfig) IsZero() bool {
 	return cfg.Workers == 0 && cfg.QPS == 0 && cfg.MaxRetries == 0 &&
 		cfg.RetryDelay == 0 && cfg.MaxRetryDelay == 0 && cfg.BudgetTokens == 0 &&
-		!cfg.Cache && cfg.Disk == nil && cfg.CacheNamespace == "" &&
+		cfg.Disk == nil && cfg.CacheNamespace == "" &&
 		cfg.QueryTimeout == 0 && cfg.Breaker == (batch.BreakerConfig{}) &&
 		cfg.Fallback == nil && len(cfg.Replicas) == 0 && cfg.ReplicaCount == 0 &&
 		!cfg.Hedge && cfg.HedgeAfter == 0 && !cfg.Affinity && cfg.OnResult == nil &&
@@ -395,7 +393,6 @@ func (cfg ExecConfig) batchConfig(rec obs.Recorder) batch.Config {
 		RetryDelay:     cfg.RetryDelay,
 		MaxRetryDelay:  cfg.MaxRetryDelay,
 		BudgetTokens:   cfg.BudgetTokens,
-		Cache:          cfg.Cache,
 		Disk:           cfg.Disk,
 		CacheNamespace: cfg.CacheNamespace,
 		QueryTimeout:   cfg.QueryTimeout,

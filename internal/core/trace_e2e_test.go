@@ -41,7 +41,7 @@ func newTraceRegistry() *obs.Registry {
 // injector — twice (cold then warm) and checks, for every query of
 // both runs, that one stitched trace exists (every span parents back
 // to the query's "core.query" root), that the ledger's billed stages
-// cover the query's wall-clock, and that billed tokens across all
+// tile the query's wall-clock exactly, and that billed tokens across all
 // ledgers sum exactly to the run's metered token spend.
 func TestChaosRunProducesStitchedTraces(t *testing.T) {
 	f := newFixture(t, 400, 40, 7)
@@ -84,9 +84,12 @@ func verifyStitchedTraces(t *testing.T, phase string, reg *obs.Registry, res *Re
 	sawPool, sawCache := false, false
 	for _, led := range ledgers {
 		billedTokens += led.BilledTokens
-		if a := led.Attribution(); a < 0.9 {
-			t.Errorf("%s: query %s attribution %.2f < 0.9 (total %v, billed %v)",
-				phase, led.Name, a, led.Total, led.BilledWall)
+		// Billed stages tile the query span exactly: the executor
+		// charges the residual up to the instant the span closes, so
+		// the check holds under any load.
+		if led.BilledWall != led.Total {
+			t.Errorf("%s: query %s billed %v of total %v, want exact tiling",
+				phase, led.Name, led.BilledWall, led.Total)
 		}
 
 		spans := reg.TraceByID(led.TraceID)

@@ -204,7 +204,6 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 		Obs:          reg,
 		Exec: core.ExecConfig{
 			Workers:      sc.Topology.Workers,
-			Cache:        !sc.Topology.NoCache,
 			QueryTimeout: time.Duration(sc.Topology.QueryTimeoutMS * float64(time.Millisecond)),
 			ReplicaCount: sc.Topology.Replicas,
 			Hedge:        sc.Topology.Hedge,

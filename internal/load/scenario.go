@@ -138,9 +138,6 @@ type Topology struct {
 	// QueryTimeoutMS bounds each predictor call; required when
 	// HangRate > 0 (a hung call would otherwise pin its window forever).
 	QueryTimeoutMS float64 `json:"query_timeout_ms,omitempty"`
-	// NoCache disables the in-memory answer cache inside plan execution
-	// (the serve tier's own answer memory is always on).
-	NoCache bool `json:"no_cache,omitempty"`
 	// Method is the neighbor-selection method (default "1-hop"); M caps
 	// neighbors per prompt (default 4); Labeled seeds the context with
 	// that many labeled nodes per class (default 20).

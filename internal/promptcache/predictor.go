@@ -15,9 +15,9 @@ import (
 //
 // llmserve uses this to make the *server side* of the stack
 // persistent: repeated prompts from any client cost zero predictor
-// work across restarts. The batch executor does not use Wrap — it
-// integrates the cache directly so lookups stay inside its
-// single-flight critical section.
+// work across restarts. The batch executor does not use Wrap: it
+// consults the cache itself, after its single-flight by prompt, so
+// concurrent identical prompts cost one lookup and at most one call.
 func Wrap(p llm.Predictor, c *Cache) llm.Predictor {
 	w := &cachingPredictor{inner: p, cache: c, ns: Namespace(p)}
 	if cp, ok := p.(llm.ContextPredictor); ok {
@@ -50,11 +50,9 @@ func (w *cachingPredictor) Query(promptText string) (llm.Response, error) {
 	if err != nil {
 		return resp, err
 	}
-	if perr := w.cache.Put(k, resp); perr != nil {
-		// A full disk must not fail the query: the answer is correct,
-		// only its persistence is lost.
-		return resp, nil
-	}
+	// A full disk must not fail the query: the answer is correct, only
+	// its persistence is lost.
+	_ = w.cache.Put(k, resp)
 	return resp, nil
 }
 

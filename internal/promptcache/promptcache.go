@@ -1,10 +1,12 @@
 // Package promptcache is a persistent, content-addressed prompt →
 // response cache. The paper's whole premise is that multi-query
 // workloads share token-level work: common neighbor text, identical
-// prompts across boosting rounds, repeated plans across runs. The
-// in-memory tier of batch.Executor already exploits sharing *within*
-// one process; this package makes the sharing survive the process, so
-// a repeated `mqorun` pays only for tokens it has never bought before.
+// prompts across boosting rounds, repeated plans across runs. It is
+// batch.Executor's one answer store: the executor single-flights
+// concurrent identical prompts and then asks this cache, which serves
+// repeats within one process and makes the sharing survive the
+// process, so a repeated `mqorun` pays only for tokens it has never
+// bought before.
 //
 // Design:
 //

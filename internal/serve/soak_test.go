@@ -58,7 +58,7 @@ func TestSoakServeMixedTenants(t *testing.T) {
 	counter := &countingPredictor{inner: f.freshSim()}
 	s, err := New(f.freshCtx(), predictors.KHopRandom{K: 1}, counter, Config{
 		Window: 3 * time.Millisecond,
-		Exec:   core.ExecConfig{Workers: 8, Cache: true},
+		Exec:   core.ExecConfig{Workers: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

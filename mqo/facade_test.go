@@ -99,7 +99,7 @@ func TestBatchFacade(t *testing.T) {
 	}
 	var logBuf bytes.Buffer
 	exec, err := NewBatchExecutor(SerializePredictor(NewSim(GPT35(), g, 15)),
-		BatchConfig{Workers: 4, Log: &logBuf, Cache: true})
+		BatchConfig{Workers: 4, Log: &logBuf})
 	if err != nil {
 		t.Fatal(err)
 	}

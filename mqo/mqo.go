@@ -150,16 +150,13 @@ type Options struct {
 	// a budget error. Note that with Workers > 1 the exact cut-off
 	// point depends on completion order.
 	BudgetTokens int
-	// Cache deduplicates identical prompts within one run: repeated
-	// prompts are served from an in-memory response cache, and
-	// concurrent identical prompts coalesce into a single LLM call.
-	Cache bool
 	// CacheDir, when non-empty, adds a persistent prompt cache under
 	// this directory: answers survive the process, so repeating a run
 	// pays only for prompts never asked before. Entries are keyed by
 	// the predictor's identity (model + its seed), the prompt-template
 	// version and the prompt text, so a model/seed/template change can
-	// never serve stale answers. Implies Cache.
+	// never serve stale answers. Concurrent identical prompts coalesce
+	// into a single LLM call with or without it.
 	CacheDir string
 	// CacheMaxBytes bounds the persistent cache's live bytes (LRU
 	// eviction); 0 means unbounded.
@@ -242,7 +239,6 @@ func (o Options) execConfig() core.ExecConfig {
 		Workers:      o.Workers,
 		QPS:          o.QPS,
 		BudgetTokens: o.BudgetTokens,
-		Cache:        o.Cache,
 		QueryTimeout: o.QueryTimeout,
 		Breaker: batch.BreakerConfig{
 			Threshold: o.BreakerThreshold,
@@ -295,7 +291,7 @@ type Report struct {
 // (Algorithm 2). It is the programmatic equivalent of the paper's
 // "w/ prune & boost" configuration when both flags are set.
 //
-// Options.Workers/QPS/BudgetTokens/Cache bound how the batch is
+// Options.Workers/QPS/BudgetTokens bound how the batch is
 // dispatched; see Options. When individual queries fail permanently,
 // Optimize returns the partial Report together with an error wrapping
 // a *QueryErrors describing every failed query.

@@ -287,7 +287,7 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 
 func TestOptimizeCacheCoalescesDuplicates(t *testing.T) {
 	w, p := smallWorkload(t, 6)
-	rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{Workers: 4, Cache: true})
+	rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
