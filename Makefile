@@ -18,11 +18,12 @@ race:
 
 # stress repeats the timing-sensitive resilience tests (breakers,
 # timeouts, circuit rejections, replica ejection, the legacy-predictor
-# watchdog), the executor's single-flight and the exact trace-tiling
-# check under the race detector, so a flake shows up in CI instead of
-# one run in N.
+# watchdog), the executor's single-flight, the retry and Retry-After
+# tests, the proxy hop's amplification bound and the exact
+# trace-tiling check under the race detector, so a flake shows up in
+# CI instead of one run in N.
 stress:
-	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog|SingleFlight|StitchedTraces' ./internal/batch ./internal/pool ./internal/core
+	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog|SingleFlight|StitchedTraces|Retry|Amplif|Proxy' ./internal/batch ./internal/pool ./internal/core ./internal/llm
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -90,7 +91,7 @@ warmcache:
 
 # traceguard proves end-to-end latency attribution: a fully-traced
 # mqorun must produce, for every query, a ledger whose billed stages
-# cover >= 90% of the query's span, and an SLO report whose JSON a
+# tile the query's span exactly, and an SLO report whose JSON a
 # strict consumer can parse. A generous 30s p99 objective makes the
 # -require-slo verdict deterministic on any CI machine.
 traceguard:

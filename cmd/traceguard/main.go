@@ -1,15 +1,16 @@
 // Command traceguard is the CI gate for query-lifecycle tracing: it
 // reads the trace report an instrumented run wrote (mqorun
 // -trace-sample 1 -trace-json …) and fails when the books do not
-// balance — a query whose billed stage walls cover less than the
-// required fraction of its span means some layer is spending
-// wall-clock no ledger stage accounts for, and a malformed SLO section
-// means /debug/slo consumers would break.
+// balance — billed stages tile every query's span by construction, so
+// a query whose billed stage walls differ from its span by even a
+// nanosecond means some layer is spending wall-clock no ledger stage
+// accounts for, and a malformed SLO section means /debug/slo consumers
+// would break.
 //
 // Usage:
 //
 //	traceguard -trace trace.json
-//	traceguard -trace trace.json -min-attribution 0.95 -require-slo
+//	traceguard -trace trace.json -require-slo
 package main
 
 import (
@@ -36,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		tracePath  = fs.String("trace", "", "trace report JSON written by mqorun -trace-json (required)")
-		minAttrib  = fs.Float64("min-attribution", 0.9, "minimum fraction of each query's wall-clock that billed stages must cover")
 		requireSLO = fs.Bool("require-slo", false, "additionally fail unless the SLO is configured and passing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -59,10 +59,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	bad := 0
 	for _, q := range rep.Queries {
-		if a := q.Attribution(); a < *minAttrib {
+		if q.BilledWall != q.Total {
 			bad++
-			fmt.Fprintf(stderr, "traceguard: query %s (%s): billed stages cover %.1f%% of %s, need >= %.1f%%\n",
-				q.Name, q.TraceID, 100*a, q.Total, 100**minAttrib)
+			fmt.Fprintf(stderr, "traceguard: query %s (%s): billed stages sum to %s of a %s span, need exactly the span\n",
+				q.Name, q.TraceID, q.BilledWall, q.Total)
 		}
 	}
 	if bad > 0 {
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				rep.SLO.Name, rep.SLO.ObservedMS, rep.SLO.Samples, rep.SLO.ObjectiveMS, rep.SLO.BurnRate)
 		}
 	}
-	fmt.Fprintf(stdout, "traceguard: %d queries fully attributed (min %.1f%%)", len(rep.Queries), 100**minAttrib)
+	fmt.Fprintf(stdout, "traceguard: %d queries fully attributed (billed stages tile every span)", len(rep.Queries))
 	if rep.SLO.Configured {
 		verdict := "pass"
 		if !rep.SLO.Pass {

@@ -27,7 +27,12 @@ const goodSLO = `"slo": {"configured": true, "name": "query_latency_p99",
 // attributed builds one query ledger whose billed stages cover the
 // given fraction of a 100ms total.
 func attributed(name string, frac float64) string {
-	billed := int64(frac * 100e6)
+	return billedNS(name, int64(frac*100e6))
+}
+
+// billedNS builds one query ledger of a 100ms total whose billed stages
+// sum to billed nanoseconds.
+func billedNS(name string, billed int64) string {
 	return fmt.Sprintf(`{"trace_id": %[1]q, "name": %[1]q,
 		"total_ns": 100000000, "billed_wall_ns": %[2]d, "billed_tokens": 10,
 		"entries": [{"stage": "predict", "wall_ns": %[2]d, "tokens": 10, "billed": true}]}`,
@@ -36,7 +41,7 @@ func attributed(name string, frac float64) string {
 
 func TestTraceguardPassesFullyAttributedReport(t *testing.T) {
 	p := writeReport(t, `{`+goodSLO+`, "stage_totals": [],
-		"queries": [`+attributed("q1", 1.0)+`, `+attributed("q2", 0.95)+`]}`)
+		"queries": [`+attributed("q1", 1.0)+`, `+attributed("q2", 1.0)+`]}`)
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-trace", p, "-require-slo"}, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
@@ -57,6 +62,21 @@ func TestTraceguardFailsOnUnattributedWallClock(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "q1") {
 		t.Fatalf("stderr names no offending query: %q", errOut.String())
+	}
+}
+
+// TestTraceguardFailsOneNanosecondShort: billed stages tile a query's
+// span exactly, so a ledger 1ns short of its total fails the gate.
+func TestTraceguardFailsOneNanosecondShort(t *testing.T) {
+	p := writeReport(t, `{`+goodSLO+`, "stage_totals": [],
+		"queries": [`+attributed("q1", 1.0)+`, `+billedNS("q2", 100e6-1)+`]}`)
+	var out, errOut bytes.Buffer
+	err := run([]string{"-trace", p}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 queries have unattributed wall-clock") {
+		t.Fatalf("err = %v", err)
+	}
+	if !strings.Contains(errOut.String(), "q2") || strings.Contains(errOut.String(), "q1") {
+		t.Fatalf("stderr must name q2 only: %q", errOut.String())
 	}
 }
 

@@ -28,10 +28,7 @@ func main() {
 	// vendor; here it is llmserve's handler in-process).
 	srv := httptest.NewServer(mqo.NewSimHandler(mqo.NewSim(mqo.GPT35(), g, 2)))
 	defer srv.Close()
-	remote, err := mqo.NewHTTPPredictor(mqo.HTTPConfig{
-		BaseURL: srv.URL, Model: "gpt-3.5-turbo",
-		RetryBaseDelay: 10 * time.Millisecond,
-	})
+	remote, err := mqo.NewHTTPPredictor(mqo.HTTPConfig{BaseURL: srv.URL, Model: "gpt-3.5-turbo"})
 	if err != nil {
 		log.Fatal(err)
 	}

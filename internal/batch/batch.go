@@ -62,15 +62,16 @@ type Config struct {
 	// QPS caps the dispatch rate across all workers; 0 means unlimited.
 	QPS float64
 	// MaxRetries bounds per-query retries on transient failures
-	// (default 2; -1 disables retries entirely). Non-retryable API
-	// errors (4xx) fail immediately.
+	// (default 2; -1 disables retries entirely); permanent ones
+	// (llm.Permanent) fail immediately. This is the program's only
+	// retry loop: predictors below make one call per attempt.
 	MaxRetries int
 	// RetryDelay is the initial backoff, doubled per retry
-	// (default 100ms).
+	// (default 100ms); a server's Retry-After replaces it.
 	RetryDelay time.Duration
-	// MaxRetryDelay caps the exponential backoff (default 30s), so long
-	// retry schedules neither overflow time.Duration nor grow into
-	// hour-long sleeps.
+	// MaxRetryDelay caps the exponential backoff and any Retry-After
+	// hint (default 30s), so long retry schedules neither overflow
+	// time.Duration nor grow into hour-long sleeps.
 	MaxRetryDelay time.Duration
 	// BudgetTokens, when > 0, is a hard cap on total tokens
 	// (input + output) across the batch. Queries that would start after
@@ -134,9 +135,9 @@ type Outcome struct {
 	// from a concurrent identical request (single-flight) rather than
 	// from a predictor call made for this request.
 	Cached bool
-	// Attempts counts predictor calls a backend actually received for
-	// this request: 0 when cached, skipped, or refused by open breakers
-	// (ErrCircuitOpen).
+	// Attempts counts this request's calls to the predictor (a hedging
+	// pool below may send one to two replicas): 0 when cached, skipped,
+	// or refused by open breakers (ErrCircuitOpen).
 	Attempts int
 	// Finished is when the worker completed the request (zero for
 	// requests never dispatched). When tracing is live it is the exact
@@ -212,7 +213,7 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 		cfg.RetryDelay = 100 * time.Millisecond
 	}
 	if cfg.MaxRetryDelay <= 0 {
-		cfg.MaxRetryDelay = llm.DefaultMaxRetryDelay
+		cfg.MaxRetryDelay = defaultMaxRetryDelay
 	}
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
@@ -549,7 +550,12 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 	for attempt := 1; attempt <= e.cfg.MaxRetries+1; attempt++ {
 		if attempt > 1 {
 			rec.Add(metricBatchRetries, 1)
-			delay := llm.RetryBackoff(e.cfg.RetryDelay, e.cfg.MaxRetryDelay, attempt-1)
+			delay := retryBackoff(e.cfg.RetryDelay, e.cfg.MaxRetryDelay, attempt-1)
+			// The server knows when capacity returns.
+			var apiErr *llm.APIError
+			if errors.As(lastErr, &apiErr) && apiErr.RetryAfter > 0 {
+				delay = min(apiErr.RetryAfter, e.cfg.MaxRetryDelay)
+			}
 			var bsp *obs.Span
 			if live {
 				_, bsp = obs.StartSpanCtx(ctx, rec, "batch.backoff", "attempt", fmt.Sprint(attempt))
@@ -642,10 +648,8 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			rec.Add(metricBatchTimeouts, 1)
 			continue
 		}
-		var apiErr *llm.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode < 500 && apiErr.StatusCode != 429 {
-			// Client error: the request's fault, not the backend's —
-			// not retried.
+		if llm.Permanent(err) {
+			// The request's fault, not the backend's — not retried.
 			e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt, Error: err.Error()})
 			return Outcome{Err: err, Attempts: attempt}, "error"
 		}
@@ -655,6 +659,25 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 		Err:      fmt.Errorf("batch: request %q failed after %d attempts: %w", r.ID, e.cfg.MaxRetries+1, lastErr),
 		Attempts: e.cfg.MaxRetries + 1,
 	}, "error"
+}
+
+// defaultMaxRetryDelay is the default backoff ceiling.
+const defaultMaxRetryDelay = 30 * time.Second
+
+// retryBackoff returns the exponential backoff before retry attempt
+// (attempt ≥ 1 is the first retry): base doubled attempt−1 times,
+// capped at max. The cap is what keeps very long retry schedules sane —
+// unchecked doubling overflows time.Duration into a negative value,
+// which time.After treats as "fire now". New guarantees base, max > 0.
+func retryBackoff(base, max time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt; i++ {
+		if d >= max/2 {
+			return max
+		}
+		d *= 2
+	}
+	return min(d, max)
 }
 
 // diskGet consults the persistent tier, when configured.

@@ -33,17 +33,6 @@ type HTTPConfig struct {
 	Model string
 	// APIKey, when non-empty, is sent as a Bearer token.
 	APIKey string
-	// MaxRetries bounds retry attempts on 429/5xx/network errors
-	// (default 3; the first attempt is not a retry).
-	MaxRetries int
-	// RetryBaseDelay is the initial backoff, doubled per retry
-	// (default 200ms).
-	RetryBaseDelay time.Duration
-	// MaxRetryDelay caps the exponential backoff (default 30s). Without
-	// a cap, doubling overflows time.Duration after ~60 retries and the
-	// negative delay makes time.After fire immediately, hammering an
-	// already-struggling endpoint.
-	MaxRetryDelay time.Duration
 	// Timeout bounds each HTTP round trip (default 60s).
 	Timeout time.Duration
 	// Client overrides the transport; nil uses a client with Timeout.
@@ -55,7 +44,10 @@ const ChatCompletionsPath = "/v1/chat/completions"
 
 // HTTPPredictor queries an OpenAI-compatible endpoint and implements
 // Predictor. Token usage is taken from the server's usage block when
-// present, otherwise estimated with the local tokenizer.
+// present, otherwise estimated with the local tokenizer. Every call is
+// exactly one round trip: retries, and honouring the server's
+// Retry-After, belong to the batch executor above, so the calls a
+// backend receives are the attempts the executor reports.
 type HTTPPredictor struct {
 	cfg    HTTPConfig
 	client *http.Client
@@ -69,18 +61,6 @@ func NewHTTPPredictor(cfg HTTPConfig) (*HTTPPredictor, error) {
 	}
 	if cfg.Model == "" {
 		return nil, errors.New("llm: HTTPConfig.Model is required")
-	}
-	if cfg.MaxRetries < 0 {
-		return nil, fmt.Errorf("llm: negative MaxRetries %d", cfg.MaxRetries)
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 200 * time.Millisecond
-	}
-	if cfg.MaxRetryDelay <= 0 {
-		cfg.MaxRetryDelay = DefaultMaxRetryDelay
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
@@ -142,14 +122,15 @@ type chatErrorBody struct {
 	} `json:"error"`
 }
 
-// APIError is a non-retryable (or retry-exhausted) HTTP failure.
+// APIError is an HTTP failure: the status the server answered with,
+// its message and its Retry-After hint.
 type APIError struct {
 	StatusCode int
 	Message    string
 	// RetryAfter is the server's Retry-After hint, when it sent one
 	// (parsed from both delta-seconds and HTTP-date forms); zero
-	// otherwise. Retry schedules prefer it over their own backoff —
-	// ignoring it fights the server's backpressure.
+	// otherwise. The batch executor's retry schedule prefers it over
+	// its own backoff — ignoring it fights the server's backpressure.
 	RetryAfter time.Duration
 }
 
@@ -158,15 +139,23 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("llm: API error %d: %s", e.StatusCode, e.Message)
 }
 
-// retryable reports whether a status code warrants another attempt:
-// rate limits and server-side failures.
-func retryable(status int) bool {
-	return status == http.StatusTooManyRequests || status >= 500
-}
+// ErrUnreadablePrompt marks a prompt that does not follow the Table
+// III templates: the request's fault, so a server reports it as 400.
+var ErrUnreadablePrompt = errors.New("llm: unreadable prompt")
 
-// DefaultMaxRetryDelay is the default backoff ceiling shared by this
-// client and the batch executor.
-const DefaultMaxRetryDelay = 30 * time.Second
+// Permanent reports whether err is the request's own fault — an API
+// error with a 4xx status other than 429, or an unreadable prompt — so
+// retrying cannot help and it says nothing about a backend's health.
+// Every other failure is transient. The executor's retry loop and the
+// pool's breaker verdicts both ask it.
+func Permanent(err error) bool {
+	if errors.Is(err, ErrUnreadablePrompt) {
+		return true
+	}
+	var apiErr *APIError
+	return errors.As(err, &apiErr) &&
+		apiErr.StatusCode < 500 && apiErr.StatusCode != http.StatusTooManyRequests
+}
 
 // parseRetryAfter reads a Retry-After header value in either RFC 9110
 // form — delta-seconds ("120") or an HTTP-date — returning 0 for an
@@ -190,32 +179,7 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 	return 0
 }
 
-// RetryBackoff returns the exponential backoff before retry attempt
-// (attempt ≥ 1 is the first retry): base doubled attempt−1 times,
-// capped at max. The cap is what keeps very long retry schedules sane —
-// unchecked doubling overflows time.Duration into a negative value,
-// which time.After treats as "fire now".
-func RetryBackoff(base, max time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if max <= 0 {
-		max = DefaultMaxRetryDelay
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		if d >= max/2 {
-			return max
-		}
-		d *= 2
-	}
-	if d > max {
-		return max
-	}
-	return d
-}
-
-// Query implements Predictor: one chat-completions call with retries.
+// Query implements Predictor: one chat-completions call.
 // The category is parsed from the model's answer with the Table III
 // response format; an answer not in that format is used verbatim
 // (trimmed) so a single loosely-formatted reply does not abort a batch.
@@ -223,7 +187,9 @@ func (c *HTTPPredictor) Query(promptText string) (Response, error) {
 	return c.QueryContext(context.Background(), promptText)
 }
 
-// QueryContext is Query with caller-controlled cancellation.
+// QueryContext is Query with caller-controlled cancellation. A failure
+// comes back as the server's *APIError (carrying its Retry-After) or
+// the transport error, unchanged.
 func (c *HTTPPredictor) QueryContext(ctx context.Context, promptText string) (Response, error) {
 	body, err := json.Marshal(chatRequest{
 		Model:    c.cfg.Model,
@@ -233,42 +199,11 @@ func (c *HTTPPredictor) QueryContext(ctx context.Context, promptText string) (Re
 		return Response{}, fmt.Errorf("llm: encoding request: %w", err)
 	}
 
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			delay := RetryBackoff(c.cfg.RetryBaseDelay, c.cfg.MaxRetryDelay, attempt)
-			// The server's Retry-After (typically on 429) overrides the
-			// local exponential schedule: it knows when capacity returns,
-			// and retrying earlier just fights its backpressure. Still
-			// capped at MaxRetryDelay so a hostile or buggy header cannot
-			// stall a worker for minutes.
-			var apiErr *APIError
-			if errors.As(lastErr, &apiErr) && apiErr.RetryAfter > 0 {
-				delay = apiErr.RetryAfter
-				if delay > c.cfg.MaxRetryDelay {
-					delay = c.cfg.MaxRetryDelay
-				}
-			}
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return Response{}, ctx.Err()
-			}
-		}
-		resp, err := c.do(ctx, body)
-		if err == nil {
-			return c.finish(promptText, resp)
-		}
-		lastErr = err
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !retryable(apiErr.StatusCode) {
-			return Response{}, err // client error: retrying cannot help
-		}
-		if ctx.Err() != nil {
-			return Response{}, ctx.Err()
-		}
+	wire, err := c.do(ctx, body)
+	if err != nil {
+		return Response{}, err
 	}
-	return Response{}, fmt.Errorf("llm: giving up after %d attempts: %w", c.cfg.MaxRetries+1, lastErr)
+	return c.finish(promptText, wire)
 }
 
 // do performs one HTTP round trip. When the context carries a sampled

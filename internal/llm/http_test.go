@@ -1,6 +1,7 @@
 package llm_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/prompt"
 	"repro/internal/tag"
@@ -36,12 +38,7 @@ func testGraphAndPrompt(t testing.TB) (*tag.Graph, string, string) {
 
 func newTestClient(t testing.TB, baseURL string, extra func(*llm.HTTPConfig)) *llm.HTTPPredictor {
 	t.Helper()
-	cfg := llm.HTTPConfig{
-		BaseURL:        baseURL,
-		Model:          "sim-gpt-3.5",
-		MaxRetries:     3,
-		RetryBaseDelay: time.Millisecond,
-	}
+	cfg := llm.HTTPConfig{BaseURL: baseURL, Model: "sim-gpt-3.5"}
 	if extra != nil {
 		extra(&cfg)
 	}
@@ -50,6 +47,21 @@ func newTestClient(t testing.TB, baseURL string, extra func(*llm.HTTPConfig)) *l
 		t.Fatal(err)
 	}
 	return c
+}
+
+// executeOne runs one prompt through a batch executor over the client —
+// the program's only retry loop — and returns its outcome.
+func executeOne(t testing.TB, c *llm.HTTPPredictor, cfg batch.Config, promptText string) batch.Outcome {
+	t.Helper()
+	e, err := batch.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(context.Background(), []batch.Request{{ID: "q", Prompt: promptText}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Outcomes["q"]
 }
 
 func TestHTTPRoundTripMatchesDirectSim(t *testing.T) {
@@ -102,16 +114,19 @@ func TestHTTPRetryOn503ThenSuccess(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// The client makes one call per attempt; the executor above it owns
+	// the retries.
 	c := newTestClient(t, srv.URL, nil)
-	resp, err := c.Query(promptText)
-	if err != nil {
-		t.Fatalf("expected retry success, got %v", err)
+	o := executeOne(t, c, batch.Config{Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond}, promptText)
+	if o.Err != nil {
+		t.Fatalf("expected retry success, got %v", o.Err)
 	}
-	if resp.Category == "" {
+	if o.Response.Category == "" {
 		t.Error("empty category after retry")
 	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server saw %d calls, want 3 (2 failures + success)", got)
+	if got := calls.Load(); got != 3 || o.Attempts != 3 {
+		t.Errorf("server saw %d calls, executor reports %d attempts; want 3 and 3 (2 failures + success)",
+			got, o.Attempts)
 	}
 }
 
@@ -155,28 +170,6 @@ func asAPIError(err error, target **llm.APIError) bool {
 		err = u.Unwrap()
 	}
 	return false
-}
-
-func TestHTTPRetryExhaustion(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":{"message":"slow down","type":"server_error"}}`,
-			http.StatusTooManyRequests)
-	}))
-	defer srv.Close()
-
-	c := newTestClient(t, srv.URL, func(cfg *llm.HTTPConfig) { cfg.MaxRetries = 2 })
-	_, err := c.Query("x")
-	if err == nil {
-		t.Fatal("exhausted retries did not error")
-	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Errorf("error %q does not report attempts", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server saw %d calls, want 3", got)
-	}
 }
 
 func TestHTTPAuth(t *testing.T) {
@@ -235,7 +228,7 @@ func TestHTTPMalformedResponses(t *testing.T) {
 				fmt.Fprint(w, tc.body)
 			}))
 			defer srv.Close()
-			c := newTestClient(t, srv.URL, func(cfg *llm.HTTPConfig) { cfg.MaxRetries = 1 })
+			c := newTestClient(t, srv.URL, nil)
 			if _, err := c.Query("x"); err == nil {
 				t.Error("malformed response accepted")
 			}
@@ -249,9 +242,6 @@ func TestHTTPConfigValidation(t *testing.T) {
 	}
 	if _, err := llm.NewHTTPPredictor(llm.HTTPConfig{BaseURL: "http://x"}); err == nil {
 		t.Error("missing Model accepted")
-	}
-	if _, err := llm.NewHTTPPredictor(llm.HTTPConfig{BaseURL: "http://x", Model: "m", MaxRetries: -1}); err == nil {
-		t.Error("negative MaxRetries accepted")
 	}
 }
 
@@ -290,40 +280,6 @@ func TestHandlerRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET -> %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestRetryBackoffCapped(t *testing.T) {
-	base := 100 * time.Millisecond
-	max := 30 * time.Second
-	cases := []struct {
-		attempt int
-		want    time.Duration
-	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{5, 1600 * time.Millisecond},
-		{10, 30 * time.Second},
-		// Regression: shifting/doubling by the raw attempt count used to
-		// overflow int64 into negative delays past attempt ~64.
-		{64, 30 * time.Second},
-		{100, 30 * time.Second},
-		{1 << 20, 30 * time.Second},
-	}
-	for _, c := range cases {
-		got := llm.RetryBackoff(base, max, c.attempt)
-		if got != c.want {
-			t.Errorf("RetryBackoff(%v, %v, %d) = %v, want %v", base, max, c.attempt, got, c.want)
-		}
-		if got < 0 {
-			t.Fatalf("RetryBackoff(%v, %v, %d) went negative: %v", base, max, c.attempt, got)
-		}
-	}
-	if d := llm.RetryBackoff(0, max, 50); d != 0 {
-		t.Errorf("zero base must yield zero delay, got %v", d)
-	}
-	if d := llm.RetryBackoff(time.Second, 0, 80); d != llm.DefaultMaxRetryDelay {
-		t.Errorf("zero max must default to %v, got %v", llm.DefaultMaxRetryDelay, d)
 	}
 }
 
@@ -386,22 +342,28 @@ func retryAfterServer(t *testing.T, failures int, header func() string) (*httpte
 	return srv, &calls
 }
 
+// retryAfterExec is the executor policy the Retry-After tests drive
+// the client with: a 1ms exponential schedule capped at 250ms, so a
+// wait of 250ms can only come from the server's header.
+var retryAfterExec = batch.Config{
+	Workers: 1, MaxRetries: 1, RetryDelay: time.Millisecond, MaxRetryDelay: 250 * time.Millisecond,
+}
+
 // TestHTTPHonorsRetryAfterSeconds is the regression test for the
-// ignored-Retry-After bug: the client used to retry a 429 on its own
+// ignored-Retry-After bug: retries used to run on their own
 // exponential schedule (1ms base here), fighting server backpressure.
 // The server demands 2s; with MaxRetryDelay capping it at 250ms, the
-// observed wait proves the header — not the exponential schedule —
+// observed wait proves the header — carried from the client's
+// APIError into the executor's backoff — not the exponential schedule
 // set the delay.
 func TestHTTPHonorsRetryAfterSeconds(t *testing.T) {
 	_, promptText, _ := testGraphAndPrompt(t)
 	srv, calls := retryAfterServer(t, 1, func() string { return "2" })
-	c := newTestClient(t, srv.URL, func(cfg *llm.HTTPConfig) {
-		cfg.MaxRetryDelay = 250 * time.Millisecond
-	})
+	c := newTestClient(t, srv.URL, nil)
 
 	startAt := time.Now()
-	if _, err := c.Query(promptText); err != nil {
-		t.Fatalf("expected retry success, got %v", err)
+	if o := executeOne(t, c, retryAfterExec, promptText); o.Err != nil {
+		t.Fatalf("expected retry success, got %v", o.Err)
 	}
 	elapsed := time.Since(startAt)
 	if got := calls.Load(); got != 2 {
@@ -422,13 +384,11 @@ func TestHTTPHonorsRetryAfterHTTPDate(t *testing.T) {
 	srv, calls := retryAfterServer(t, 1, func() string {
 		return time.Now().Add(2 * time.Second).UTC().Format(http.TimeFormat)
 	})
-	c := newTestClient(t, srv.URL, func(cfg *llm.HTTPConfig) {
-		cfg.MaxRetryDelay = 250 * time.Millisecond
-	})
+	c := newTestClient(t, srv.URL, nil)
 
 	startAt := time.Now()
-	if _, err := c.Query(promptText); err != nil {
-		t.Fatalf("expected retry success, got %v", err)
+	if o := executeOne(t, c, retryAfterExec, promptText); o.Err != nil {
+		t.Fatalf("expected retry success, got %v", o.Err)
 	}
 	elapsed := time.Since(startAt)
 	if got := calls.Load(); got != 2 {
@@ -447,8 +407,8 @@ func TestHTTPMalformedRetryAfterFallsBack(t *testing.T) {
 	c := newTestClient(t, srv.URL, nil)
 
 	startAt := time.Now()
-	if _, err := c.Query(promptText); err != nil {
-		t.Fatalf("expected retry success, got %v", err)
+	if o := executeOne(t, c, retryAfterExec, promptText); o.Err != nil {
+		t.Fatalf("expected retry success, got %v", o.Err)
 	}
 	if elapsed := time.Since(startAt); elapsed > time.Second {
 		t.Fatalf("malformed header stalled the retry for %v", elapsed)
@@ -456,7 +416,7 @@ func TestHTTPMalformedRetryAfterFallsBack(t *testing.T) {
 }
 
 // TestHTTPRetryAfterSurfacesInAPIError asserts the parsed hint rides
-// the error so pools/executors can respect it too.
+// the error, unchanged, so the executor above can respect it.
 func TestHTTPRetryAfterSurfacesInAPIError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
@@ -464,15 +424,12 @@ func TestHTTPRetryAfterSurfacesInAPIError(t *testing.T) {
 			http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
-	c := newTestClient(t, srv.URL, func(cfg *llm.HTTPConfig) {
-		cfg.MaxRetries = 1
-		cfg.MaxRetryDelay = time.Millisecond
-	})
+	c := newTestClient(t, srv.URL, nil)
 
 	_, err := c.Query("whatever")
-	var apiErr *llm.APIError
-	if !asAPIError(err, &apiErr) {
-		t.Fatalf("error = %v, want wrapped APIError", err)
+	apiErr, ok := err.(*llm.APIError)
+	if !ok {
+		t.Fatalf("error = %v, want an unwrapped *APIError", err)
 	}
 	if apiErr.RetryAfter != 7*time.Second {
 		t.Fatalf("APIError.RetryAfter = %v, want 7s", apiErr.RetryAfter)

@@ -309,7 +309,7 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	parsed, err := prompt.Parse(promptText)
 	if err != nil {
 		rec.Add("mqo_sim_errors_total", 1)
-		return Response{}, fmt.Errorf("llm: unreadable prompt: %w", err)
+		return Response{}, fmt.Errorf("%w: %w", ErrUnreadablePrompt, err)
 	}
 	scores := make(map[string]float64, len(parsed.Categories))
 	for _, c := range parsed.Categories {

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -72,8 +73,12 @@ func TestQueryReturnsValidCategory(t *testing.T) {
 func TestQueryRejectsGarbage(t *testing.T) {
 	g, _ := testGraph(t, 50)
 	sim := NewSim(GPT35(), g.Vocab, g.Classes, 7)
-	if _, err := sim.Query("tell me a joke"); err == nil {
+	_, err := sim.Query("tell me a joke")
+	if err == nil {
 		t.Fatal("expected error on malformed prompt")
+	}
+	if !errors.Is(err, ErrUnreadablePrompt) || !Permanent(err) {
+		t.Fatalf("error %v is not ErrUnreadablePrompt, or not classified permanent", err)
 	}
 }
 

@@ -153,10 +153,18 @@ func (h *Handler) serve(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	// underneath charge themselves unbilled, see promptcache.Wrap).
 	obs.Charge(ctx, obs.StagePredict, time.Since(qstart), resp.InputTokens+resp.OutputTokens, true)
 	if err != nil {
-		// An unreadable prompt is the caller's fault, not a server
-		// failure: report 400 so clients do not retry it.
-		writeAPIError(w, http.StatusBadRequest, err.Error())
-		return http.StatusBadRequest, 0, 0
+		status, msg := errorStatus(err), err.Error()
+		var apiErr *APIError
+		if errors.As(err, &apiErr) {
+			// A proxy hop is transparent: the upstream's message, and
+			// its Retry-After in whole seconds, rounded up.
+			msg = apiErr.Message
+			if apiErr.RetryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(int((apiErr.RetryAfter+time.Second-1)/time.Second)))
+			}
+		}
+		writeAPIError(w, status, msg)
+		return status, 0, 0
 	}
 	h.requests.Add(1)
 
@@ -185,6 +193,24 @@ func (h *Handler) serve(ctx context.Context, w http.ResponseWriter, r *http.Requ
 		return http.StatusOK, resp.InputTokens, resp.OutputTokens
 	}
 	return http.StatusOK, resp.InputTokens, resp.OutputTokens
+}
+
+// errorStatus maps a predictor failure to a status by its cause, so a
+// client's retry loop and breaker see what really failed: an upstream's
+// status passes through a proxy hop, only an unreadable prompt is 400,
+// a deadline is 504, and anything else — a transport error, an
+// all-ejected pool — is 502.
+func errorStatus(err error) int {
+	var apiErr *APIError
+	switch {
+	case errors.As(err, &apiErr):
+		return apiErr.StatusCode
+	case errors.Is(err, ErrUnreadablePrompt):
+		return http.StatusBadRequest
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadGateway
 }
 
 // writeAPIError emits an OpenAI-style error body. When the response

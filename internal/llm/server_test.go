@@ -1,7 +1,10 @@
 package llm
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,5 +164,50 @@ func TestHandlerRecordsMetricsAndUsageHeaders(t *testing.T) {
 	}
 	if got := reg.HistogramCount("mqo_sim_predict_duration_seconds"); got != 1 {
 		t.Fatalf("sim latency observations = %d, want 1", got)
+	}
+}
+
+// failingPredictor fails every query with err.
+type failingPredictor struct{ err error }
+
+func (f failingPredictor) Name() string                   { return "failing" }
+func (f failingPredictor) Query(string) (Response, error) { return Response{}, f.err }
+
+// TestHandlerMapsPredictorErrorsByCause: a predictor failure becomes
+// the status its cause calls for, so a client's retry loop and breaker
+// see what really failed. Only an unreadable prompt is the caller's
+// fault (400); an upstream's status and Retry-After pass through a
+// proxy hop unchanged.
+func TestHandlerMapsPredictorErrorsByCause(t *testing.T) {
+	cases := []struct {
+		name       string
+		err        error
+		code       int
+		retryAfter string
+		msg        string
+	}{
+		{"upstream 503", &APIError{StatusCode: 503, Message: "overloaded", RetryAfter: 1500 * time.Millisecond}, 503, "2", "overloaded"},
+		{"upstream 429", &APIError{StatusCode: 429, Message: "slow down"}, 429, "", "slow down"},
+		{"upstream 400", &APIError{StatusCode: 400, Message: "bad prompt"}, 400, "", "bad prompt"},
+		{"unreadable prompt", fmt.Errorf("%w: missing target line", ErrUnreadablePrompt), 400, "", "unreadable prompt"},
+		{"deadline", fmt.Errorf("llm: transport: %w", context.DeadlineExceeded), 504, "", "deadline"},
+		{"transport", errors.New("llm: transport: connection refused"), 502, "", "connection refused"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rw := httptest.NewRecorder()
+			NewHandler(failingPredictor{tc.err}).ServeHTTP(rw,
+				httptest.NewRequest("POST", ChatCompletionsPath, chatBody("p")))
+			if rw.Code != tc.code {
+				t.Fatalf("code = %d, want %d", rw.Code, tc.code)
+			}
+			if got := rw.Header().Get("Retry-After"); got != tc.retryAfter {
+				t.Fatalf("Retry-After = %q, want %q", got, tc.retryAfter)
+			}
+			var eb chatErrorBody
+			if err := json.Unmarshal(rw.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error.Message, tc.msg) {
+				t.Fatalf("error body %s (%v), want a message containing %q", rw.Body.String(), err, tc.msg)
+			}
+		})
 	}
 }

@@ -353,9 +353,8 @@ func (p *Pool) judge(ctx context.Context, r *replica, err error) {
 		// slow to answer, so default reports a failure.
 		r.brk.Cancel()
 	default:
-		var apiErr *llm.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode < 500 && apiErr.StatusCode != 429 {
-			// Client-side error: the request's fault, not the replica's.
+		if llm.Permanent(err) {
+			// The request's fault, not the replica's.
 			r.brk.Cancel()
 			return
 		}

@@ -7,7 +7,9 @@ import (
 )
 
 // HTTPConfig configures an OpenAI-compatible chat-completions client
-// (base URL, model, API key, retry policy).
+// (base URL, model, API key, timeout). The client makes one call per
+// query; retries are the batch executor's (BatchConfig.MaxRetries,
+// ExecConfig.MaxRetries).
 type HTTPConfig = llm.HTTPConfig
 
 // HTTPPredictor queries an OpenAI-compatible endpoint. It implements
@@ -15,8 +17,8 @@ type HTTPConfig = llm.HTTPConfig
 // against a real deployment.
 type HTTPPredictor = llm.HTTPPredictor
 
-// APIError is a non-retryable (or retry-exhausted) HTTP failure with
-// its status code.
+// APIError is an HTTP failure with its status code and the server's
+// Retry-After hint.
 type APIError = llm.APIError
 
 // NewHTTPPredictor builds the HTTP client. Swap it for NewSim to move

@@ -3,7 +3,6 @@ package mqo
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestOptimizeOverHTTP runs the full prune+boost pipeline against the
@@ -19,11 +18,7 @@ func TestOptimizeOverHTTP(t *testing.T) {
 
 	srv := httptest.NewServer(NewSimHandler(NewSim(GPT35(), g, 8)))
 	defer srv.Close()
-	remote, err := NewHTTPPredictor(HTTPConfig{
-		BaseURL:        srv.URL,
-		Model:          "sim-gpt-3.5",
-		RetryBaseDelay: time.Millisecond,
-	})
+	remote, err := NewHTTPPredictor(HTTPConfig{BaseURL: srv.URL, Model: "sim-gpt-3.5"})
 	if err != nil {
 		t.Fatal(err)
 	}
