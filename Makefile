@@ -7,8 +7,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, so CI keeps the tree
+# formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -17,20 +21,20 @@ race:
 	$(GO) test -race ./...
 
 # stress repeats the timing-sensitive resilience tests (breakers,
-# timeouts, circuit rejections, replica ejection, the legacy-predictor
-# watchdog), the executor's single-flight, the retry and Retry-After
-# tests, the proxy hop's amplification bound and the exact
-# trace-tiling check under the race detector, so a flake shows up in
-# CI instead of one run in N.
+# including the serve tier's breaker across windows, timeouts, circuit
+# rejections, replica ejection, the legacy-predictor watchdog), the
+# executor's single-flight, the retry and Retry-After tests, the proxy
+# hop's amplification bound and the exact trace-tiling check under the
+# race detector, so a flake shows up in CI instead of one run in N.
 stress:
-	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog|SingleFlight|StitchedTraces|Retry|Amplif|Proxy' ./internal/batch ./internal/pool ./internal/core ./internal/llm
+	$(GO) test -race -count=10 -run 'Breaker|Timeout|Circuit|Eject|Watchdog|SingleFlight|StitchedTraces|Retry|Amplif|Proxy' ./internal/batch ./internal/pool ./internal/core ./internal/llm ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # benchpool measures the replica pool's hedged-tail win (p99 with one
 # occasionally-stalling backend vs a 3-replica hedged pool) and the
-# affinity scorer's cold-vs-warm shard win (warm misroute rate, guarded
+# affinity routing's cold-vs-warm shard win (warm misroute rate, guarded
 # at zero vs the P2C baseline), appending one JSON line each to
 # BENCH_pool.json. The benchmarks themselves fail unless hedging at
 # least halves the p99 and affinity keeps every warm prompt on its

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cliflags"
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -131,19 +130,17 @@ func main() {
 			}
 			backends = append(backends, hp)
 		}
-		pcfg := pool.Config{
+		pl, err := pool.New(backends, pool.Config{
 			Hedge:      *hedge,
 			HedgeAfter: *hedgeAfter,
-			Breaker:    batch.BreakerConfig{Threshold: *breakerN, Cooldown: *breakerCool},
-			Obs:        reg,
-		}
-		if *affinity {
-			// Each upstream owns the rendezvous shard of the prompt-key
-			// space its own server-side cache has been accumulating, so
-			// a warm prompt is never re-bought from a cold upstream.
-			pcfg.Scorer = &pool.Affinity{}
-		}
-		pl, err := pool.New(backends, pcfg)
+			Breaker:    pool.BreakerConfig{Threshold: *breakerN, Cooldown: *breakerCool},
+			// With -affinity each upstream owns the rendezvous shard of
+			// the prompt-key space its own server-side cache has been
+			// accumulating, so a warm prompt is never re-bought from a
+			// cold upstream.
+			Affinity: *affinity,
+			Obs:      reg,
+		})
 		if err != nil {
 			log.Fatalf("llmserve: building upstream pool: %v", err)
 		}

@@ -79,8 +79,8 @@ type Config struct {
 	// spending money.
 	BudgetTokens int
 	// QueryTimeout, when > 0, bounds each predictor attempt. A call
-	// that outlives the deadline fails with ErrQueryTimeout (retryable)
-	// instead of stalling its worker: predictors implementing
+	// that outlives the deadline fails with llm.ErrQueryTimeout
+	// (retryable) instead of stalling its worker: predictors implementing
 	// llm.ContextPredictor are canceled mid-flight, legacy predictors
 	// are abandoned by llm.WithContext's watchdog (their goroutine
 	// finishes — or parks — in the background).
@@ -120,13 +120,6 @@ type Config struct {
 // already spent.
 var ErrBudgetExhausted = errors.New("batch: token budget exhausted")
 
-// ErrQueryTimeout marks predictor attempts that outlived
-// Config.QueryTimeout. It is transient: retries (if configured) get a
-// fresh deadline. It is also the cause of the attempt's context, so a
-// replica pool below counts the timeout against the slow replica's
-// breaker rather than as a cancellation.
-var ErrQueryTimeout = errors.New("batch: query timed out")
-
 // Outcome is the result of one request.
 type Outcome struct {
 	Response llm.Response
@@ -137,7 +130,7 @@ type Outcome struct {
 	Cached bool
 	// Attempts counts this request's calls to the predictor (a hedging
 	// pool below may send one to two replicas): 0 when cached, skipped,
-	// or refused by open breakers (ErrCircuitOpen).
+	// or refused by open breakers (llm.ErrCircuitOpen).
 	Attempts int
 	// Finished is when the worker completed the request (zero for
 	// requests never dispatched). When tracing is live it is the exact
@@ -187,9 +180,8 @@ type flightCall struct {
 	err  error
 }
 
-// New builds an executor. The predictor may be used concurrently from
-// Config.Workers goroutines; wrap non-thread-safe predictors (like
-// *llm.Sim) with Serialize; legacy predictors get llm.WithContext. The
+// New builds an executor. The predictor is used concurrently from
+// Config.Workers goroutines; legacy predictors get llm.WithContext. The
 // executor has no breaker of its own: breakers live in the replica pool
 // (package pool), one per slot.
 func New(p llm.Predictor, cfg Config) (*Executor, error) {
@@ -504,7 +496,7 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 			switch {
 			case errors.Is(fc.err, ErrBudgetExhausted):
 				return done(Outcome{Err: fc.err}, "skipped")
-			case errors.Is(fc.err, ErrCircuitOpen):
+			case errors.Is(fc.err, llm.ErrCircuitOpen):
 				return done(Outcome{Err: fc.err}, "rejected")
 			}
 			return done(Outcome{Err: fc.err}, "error")
@@ -594,7 +586,7 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			actx, asp = obs.StartSpanCtx(ctx, rec, "batch.attempt", "n", fmt.Sprint(attempt))
 		}
 		resp, err := e.query(actx, r.Prompt)
-		rejected := errors.Is(err, ErrCircuitOpen)
+		rejected := errors.Is(err, llm.ErrCircuitOpen)
 		if live {
 			wall := time.Since(start)
 			rec.Observe(metricBatchAttempt, wall.Seconds())
@@ -644,7 +636,7 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 			rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
 			return Outcome{Err: ctx.Err(), Attempts: attempt}, "aborted"
 		}
-		if errors.Is(err, ErrQueryTimeout) {
+		if errors.Is(err, llm.ErrQueryTimeout) {
 			rec.Add(metricBatchTimeouts, 1)
 			continue
 		}
@@ -689,63 +681,17 @@ func (e *Executor) diskGet(prompt string) (llm.Response, bool) {
 }
 
 // query runs one predictor attempt under the per-query deadline. The
-// deadline's cause is ErrQueryTimeout, so the layers below can tell a
+// deadline's cause is llm.ErrQueryTimeout, so the layers below can tell a
 // backend too slow to answer from a caller that gave up.
 func (e *Executor) query(ctx context.Context, promptText string) (llm.Response, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, ErrQueryTimeout)
+		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, llm.ErrQueryTimeout)
 		defer cancel()
 	}
 	resp, err := e.p.QueryContext(ctx, promptText)
-	if err != nil && errors.Is(context.Cause(ctx), ErrQueryTimeout) {
-		return llm.Response{}, fmt.Errorf("%w after %v: %v", ErrQueryTimeout, e.cfg.QueryTimeout, err)
+	if err != nil && errors.Is(context.Cause(ctx), llm.ErrQueryTimeout) {
+		return llm.Response{}, fmt.Errorf("%w after %v: %v", llm.ErrQueryTimeout, e.cfg.QueryTimeout, err)
 	}
 	return resp, err
-}
-
-// Serialize wraps a predictor with a mutex so single-threaded
-// implementations (like *llm.Sim) can serve a concurrent Executor.
-// When the inner predictor is context-aware, the wrapper is too, so
-// per-query deadlines keep their cancellation path through the lock.
-func Serialize(p llm.Predictor) llm.Predictor {
-	s := &serialized{p: p}
-	if cp, ok := p.(llm.ContextPredictor); ok {
-		return &serializedCtx{serialized: s, cp: cp}
-	}
-	return s
-}
-
-type serialized struct {
-	mu sync.Mutex
-	p  llm.Predictor
-}
-
-// Name implements llm.Predictor.
-func (s *serialized) Name() string { return s.p.Name() }
-
-// Identity forwards the inner identity: serialization does not change
-// the answer function, so cache namespaces must not change either.
-func (s *serialized) Identity() string { return llm.IdentityOf(s.p) }
-
-// Query implements llm.Predictor under a lock.
-func (s *serialized) Query(prompt string) (llm.Response, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p.Query(prompt)
-}
-
-// serializedCtx adds the context-aware path for inner predictors that
-// support it. The lock is still held across the call: cancellation
-// unblocks the inner predictor, which releases the lock.
-type serializedCtx struct {
-	*serialized
-	cp llm.ContextPredictor
-}
-
-// QueryContext implements llm.ContextPredictor under the lock.
-func (s *serializedCtx) QueryContext(ctx context.Context, prompt string) (llm.Response, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.QueryContext(ctx, prompt)
 }

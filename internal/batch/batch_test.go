@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/promptcache"
-	"repro/internal/token"
 )
 
 // scripted is a test predictor with injectable failures.
@@ -356,28 +355,6 @@ func TestExecuteInputValidation(t *testing.T) {
 	}
 	if _, err := e.Execute(nil, reqs(1)); err == nil { //nolint:staticcheck // testing nil ctx
 		t.Error("nil context accepted")
-	}
-}
-
-// TestSerializeAllowsConcurrentSim drives a real simulated LLM through
-// a concurrent executor and checks token accounting stays consistent.
-func TestSerializeAllowsConcurrentSim(t *testing.T) {
-	g, prompts := simPrompts(t, 40)
-	sim := llm.NewSim(llm.GPT35(), g.Vocab, g.Classes, 4)
-	e, err := New(Serialize(sim), Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(context.Background(), prompts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failed=%d", res.Failed)
-	}
-	var want token.Meter = *sim.Meter()
-	if res.TokensUsed != want.Total() {
-		t.Errorf("executor counted %d tokens, sim metered %d", res.TokensUsed, want.Total())
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/prompt"
 )
 
@@ -90,7 +90,8 @@ func (e *Exec) ApplyObs(r *obs.Registry) {
 	}
 }
 
-// BreakerConfig lowers the breaker flags into the batch configuration.
-func (e *Exec) BreakerConfig() batch.BreakerConfig {
-	return batch.BreakerConfig{Threshold: e.Breaker, Cooldown: e.BreakerCooldown}
+// BreakerConfig lowers the breaker flags into the replica pool's
+// per-slot breaker configuration.
+func (e *Exec) BreakerConfig() pool.BreakerConfig {
+	return pool.BreakerConfig{Threshold: e.Breaker, Cooldown: e.BreakerCooldown}
 }

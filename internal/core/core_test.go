@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/prompt"
 	"repro/internal/promptcache"
@@ -138,6 +139,26 @@ func TestExecuteCompletes(t *testing.T) {
 	}
 	if acc := Accuracy(f.g, res.Pred); acc < 0.5 {
 		t.Fatalf("baseline accuracy %v implausibly low", acc)
+	}
+}
+
+// TestNewPoolRoutesThroughGivenPool: a predictor that already is a
+// replica pool is the route when the config asks for no pool of its
+// own, so a caller's long-lived pool (the serve tier's) is never wrapped
+// in a one-slot pool; asking for replicas or a breaker still builds one.
+func TestNewPoolRoutesThroughGivenPool(t *testing.T) {
+	f := newFixture(t, 200, 20, 1)
+	given, err := pool.New([]llm.Predictor{f.sim, f.sim}, pool.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := NewPool(given, ExecConfig{Workers: 4, Hedge: true}, nil); err != nil || pl != given {
+		t.Fatalf("NewPool did not route through the given pool (err %v)", err)
+	}
+	for _, cfg := range []ExecConfig{{ReplicaCount: 2}, {Breaker: pool.BreakerConfig{Threshold: 1}}} {
+		if pl, err := NewPool(given, cfg, nil); err != nil || pl == given {
+			t.Fatalf("%+v: want a new pool over the given one (err %v)", cfg, err)
+		}
 	}
 }
 

@@ -229,7 +229,7 @@ type ExecConfig struct {
 	// cached answer never crosses compression configurations.
 	Compress prompt.Compressor
 	// QueryTimeout bounds each predictor call (per attempt); 0 means no
-	// deadline. A hung call is abandoned with batch.ErrQueryTimeout, so
+	// deadline. A hung call is abandoned with llm.ErrQueryTimeout, so
 	// one stuck prompt cannot stall the whole plan.
 	QueryTimeout time.Duration
 	// Breaker configures one circuit breaker per replica slot; the zero
@@ -237,7 +237,7 @@ type ExecConfig struct {
 	// through a pool of one slot, so this is the breaker in front of the
 	// predictor. Like BudgetTokens, a tripped breaker makes results
 	// depend on completion order under concurrency.
-	Breaker batch.BreakerConfig
+	Breaker pool.BreakerConfig
 	// Fallback, when non-nil, answers queries whose LLM path failed
 	// permanently with the surrogate classifier instead of reporting
 	// them in QueryErrors. Fallback answers are marked in
@@ -357,7 +357,7 @@ func (cfg ExecConfig) IsZero() bool {
 	return cfg.Workers == 0 && cfg.QPS == 0 && cfg.MaxRetries == 0 &&
 		cfg.RetryDelay == 0 && cfg.MaxRetryDelay == 0 && cfg.BudgetTokens == 0 &&
 		cfg.Disk == nil && cfg.CacheNamespace == "" &&
-		cfg.QueryTimeout == 0 && cfg.Breaker == (batch.BreakerConfig{}) &&
+		cfg.QueryTimeout == 0 && cfg.Breaker == (pool.BreakerConfig{}) &&
 		cfg.Fallback == nil && len(cfg.Replicas) == 0 && cfg.ReplicaCount == 0 &&
 		!cfg.Hedge && cfg.HedgeAfter == 0 && !cfg.Affinity && cfg.OnResult == nil &&
 		cfg.Compress == (prompt.Compressor{})
@@ -437,7 +437,7 @@ func (e *QueryErrors) Error() string {
 // "core.query" span is no longer opened here: since tracing went
 // hierarchical it is the query's root span, opened by dispatch before
 // the request enters the executor — this layer sits *inside* the
-// executor's attempt span and only times the winning call.)
+// executor's attempt span and times every attempt, retries included.)
 type timedPredictor struct {
 	inner *pool.Pool
 	rec   obs.Recorder
@@ -553,23 +553,39 @@ func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.No
 	return out
 }
 
-// newPlanExecutor builds the one route from a plan to its predictor:
-// a bounded-concurrency batch executor over a replica pool, instrumented
-// when a recorder is live. The pool's per-slot breakers are the only
-// breakers on the route. Without Replicas or ReplicaCount > 1 the pool
-// is one slot of p with no hedging or affinity routing. Plain, boosting
-// and calibration runs all build their executor here.
-func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode string) (*batch.Executor, error) {
+// NewPool lowers cfg's routing knobs onto the replica pool a plan
+// reaches p through; rec receives the pool's metrics. The pool's
+// per-slot breakers are the only breakers on the route. Without
+// Replicas or ReplicaCount > 1 the pool is one slot of p with no
+// hedging or affinity routing — except that when p already is a
+// *pool.Pool and cfg asks for no pool of its own (no replicas, no
+// breaker), p itself is the route. A caller that runs many plans
+// against one backend (the serve tier) builds the pool once here and
+// passes it as p, so breakers and latency estimates outlive each plan.
+func NewPool(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*pool.Pool, error) {
+	pooled := len(cfg.Replicas) > 0 || cfg.ReplicaCount > 1
+	if pl, ok := p.(*pool.Pool); ok && !pooled && cfg.Breaker == (pool.BreakerConfig{}) {
+		return pl, nil
+	}
 	pcfg := pool.Config{Breaker: cfg.Breaker, Obs: rec}
-	if len(cfg.Replicas) > 0 || cfg.ReplicaCount > 1 {
-		pcfg.Hedge, pcfg.HedgeAfter = cfg.Hedge, cfg.HedgeAfter
-		if cfg.Affinity {
-			pcfg.Scorer = &pool.Affinity{}
-		}
+	if pooled {
+		pcfg.Hedge, pcfg.HedgeAfter, pcfg.Affinity = cfg.Hedge, cfg.HedgeAfter, cfg.Affinity
 	}
 	pl, err := pool.New(cfg.replicaSet(p), pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica pool: %w", err)
+	}
+	return pl, nil
+}
+
+// newPlanExecutor builds the one route from a plan to its predictor:
+// a bounded-concurrency batch executor over the replica pool NewPool
+// lowers cfg to, instrumented when a recorder is live. Plain, boosting
+// and calibration runs all build their executor here.
+func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode string) (*batch.Executor, error) {
+	pl, err := NewPool(p, cfg, rec)
+	if err != nil {
+		return nil, err
 	}
 	// Compression rewrites prompt bytes, so a compressed run must not
 	// share the executor's default disk-cache namespace with the
@@ -777,35 +793,30 @@ func TauForBudget(budget float64, numQueries int, tokensPerQuery, tokensNeighbor
 // sampling the prefix instead would bias τ-for-budget whenever the
 // query set arrives ordered (by degree, score, or node ID).
 func EstimateQueryTokens(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int) (perQuery, perNeighborText float64) {
-	return EstimateQueryTokensCached(ctx, m, queries, sample, nil)
+	return EstimateQueryTokensCompressed(ctx, m, queries, sample, prompt.Compressor{}, nil)
 }
 
-// EstimateQueryTokensCached is EstimateQueryTokens made cache-aware:
-// queries whose full prompt `cached` reports as already answered
+// EstimateQueryTokensCompressed is the full-fidelity estimator: it
+// sees both the disk cache (cached, may be nil) and the compression
+// stage (comp, zero value disables).
+//
+// Queries whose equipped prompt cached reports as already answered
 // contribute zero marginal tokens to both averages, because executing
 // them re-pays nothing — the answer is served from the persistent
 // cache. Budgeting with these averages lets TauForBudget admit more
 // un-pruned queries under the same budget on warm runs, which is the
 // planner-level payoff of the disk cache: the budget buys *new*
-// tokens, not tokens already bought.
+// tokens, not tokens already bought. A nil cached estimates as if the
+// cache were cold.
 //
-// The lookup sees the fully-equipped prompt (the one a cache hit would
-// serve). nil behaves exactly like EstimateQueryTokens.
-func EstimateQueryTokensCached(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int, cached func(promptText string) bool) (perQuery, perNeighborText float64) {
-	return EstimateQueryTokensCompressed(ctx, m, queries, sample, prompt.Compressor{}, cached)
-}
-
-// EstimateQueryTokensCompressed is the full-fidelity estimator: it
-// sees both the disk cache (cached, may be nil) and the compression
-// stage (comp, zero value disables). With compression enabled every
-// sampled prompt — equipped and vanilla alike — is compressed before
-// counting, so TauForBudget's budget math prices queries at what
-// dispatch will actually pay and the two token-saving axes (τ-pruning
-// and compression) compose instead of double-counting. The cache
-// lookup sees the compressed equipped prompt: those are the bytes a
-// compressed run keys its cache with, so a warm entry contributes zero
-// marginal tokens exactly once — compression never discounts a prompt
-// the cache already discounted.
+// With compression enabled every sampled prompt — equipped and vanilla
+// alike — is compressed before counting, so TauForBudget's budget math
+// prices queries at what dispatch will actually pay and the two
+// token-saving axes (τ-pruning and compression) compose instead of
+// double-counting. The cache lookup sees the compressed equipped
+// prompt: those are the bytes a compressed run keys its cache with, so
+// a warm entry contributes zero marginal tokens exactly once —
+// compression never discounts a prompt the cache already discounted.
 func EstimateQueryTokensCompressed(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int, comp prompt.Compressor, cached func(promptText string) bool) (perQuery, perNeighborText float64) {
 	if len(queries) == 0 {
 		return 0, 0

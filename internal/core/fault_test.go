@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/predictors"
 	"repro/internal/tag"
@@ -213,7 +212,7 @@ func TestExecuteWithLegacyHungPredictorWatchdog(t *testing.T) {
 	f := newFixture(t, 300, 40, 5)
 	m := predictors.KHopRandom{K: 1}
 	plan := Plan{Queries: f.split.Query}
-	h := &legacyHang{inner: batch.Serialize(f.sim), release: make(chan struct{})}
+	h := &legacyHang{inner: f.sim, release: make(chan struct{})}
 	defer close(h.release)
 
 	done := make(chan struct{})
@@ -242,7 +241,7 @@ func TestExecuteWithLegacyHungPredictorWatchdog(t *testing.T) {
 		t.Fatalf("%d queries failed, want exactly the %d hung ones", len(qerrs.Errs), hangs)
 	}
 	for v, qerr := range qerrs.Errs {
-		if !errors.Is(qerr, batch.ErrQueryTimeout) {
+		if !errors.Is(qerr, llm.ErrQueryTimeout) {
 			t.Fatalf("node %d failed with %v, want ErrQueryTimeout", v, qerr)
 		}
 	}

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/promptcache"
 )
@@ -82,7 +82,7 @@ func TestSoakChaosPoolCacheFallback(t *testing.T) {
 		ReplicaCount: 3,
 		Hedge:        true,
 		HedgeAfter:   5 * time.Millisecond,
-		Breaker:      batch.BreakerConfig{Threshold: 5, Cooldown: 20 * time.Millisecond},
+		Breaker:      pool.BreakerConfig{Threshold: 5, Cooldown: 20 * time.Millisecond},
 		Fallback:     sur,
 	}
 	for pass := 0; pass < soakPasses(); pass++ {
@@ -264,8 +264,8 @@ func poolAffinityCounters(reg *obs.Registry) (picks, hits float64) {
 	return picks, hits
 }
 
-// TestSoakAffinityWarmPath pins the routing invariant the affinity
-// scorer converts from accident to guarantee: with one disk cache per
+// TestSoakAffinityWarmPath pins the routing invariant affinity
+// routing converts from accident to guarantee: with one disk cache per
 // replica, a full-plan re-run pays ~zero predictor calls and tokens at
 // ANY replica count, hedging on or off, because every warm prompt is
 // routed back to the replica whose cache owns it. (Without affinity,
@@ -359,7 +359,7 @@ func (deadPredictor) QueryContext(context.Context, string) (llm.Response, error)
 // degraded half at plan scale: one replica — the rendezvous owner of
 // ~1/3 of the key space — is dead. Its breaker must eject it, its
 // shard must degrade to P2C over the healthy replicas (surfacing as
-// affinity misses), and no batch.ErrCircuitOpen may ever reach the
+// affinity misses), and no llm.ErrCircuitOpen may ever reach the
 // executor's error path: every query is answered by the LLM, no
 // fallback, no query errors.
 func TestSoakAffinityEjectedOwnerDegrades(t *testing.T) {
@@ -380,7 +380,7 @@ func TestSoakAffinityEjectedOwnerDegrades(t *testing.T) {
 		// attempt via the P2C fallback.
 		MaxRetries: 2,
 		RetryDelay: time.Millisecond,
-		Breaker:    batch.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		Breaker:    pool.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	}
 
 	ctx := f.freshCtx()
@@ -402,7 +402,7 @@ func TestSoakAffinityEjectedOwnerDegrades(t *testing.T) {
 		}
 	}
 	if misses == 0 {
-		t.Fatal("no affinity misses recorded; the dead owner's shard never degraded through the scorer")
+		t.Fatal("no affinity misses recorded; the dead owner's shard never degraded to P2C")
 	}
 	if got := reg.CounterValue("mqo_pool_ejected_total", "replica", "0"); got != 1 {
 		t.Errorf("dead owner ejections = %v, want 1", got)

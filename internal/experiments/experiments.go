@@ -11,8 +11,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/prompt"
 	"repro/internal/promptcache"
@@ -46,7 +46,7 @@ type Config struct {
 	// Breaker configures a circuit breaker around plan execution; the
 	// zero value disables it. With Replicas > 1 it configures the
 	// per-replica breakers instead of a global one.
-	Breaker batch.BreakerConfig
+	Breaker pool.BreakerConfig
 	// Replicas, when > 1, fans queries across that many replica slots of
 	// the predictor through the health-aware pool. Experiment outputs
 	// are identical for any value (the simulator answers by prompt, not

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/pool"
 	"repro/internal/tablefmt"
 )
 
@@ -110,7 +110,7 @@ func RunFaultSweep(cfg Config, rates []float64, workers []int) (string, error) {
 	deadCfg := cfg.exec()
 	deadCfg.QueryTimeout = timeout
 	deadCfg.Fallback = sur
-	deadCfg.Breaker = batch.BreakerConfig{Threshold: 5, Cooldown: time.Hour}
+	deadCfg.Breaker = pool.BreakerConfig{Threshold: 5, Cooldown: time.Hour}
 	deadRes, err := core.ExecuteWith(d.ctx(cfg), m, deadInj, core.Plan{Queries: d.split.Query}, deadCfg)
 	if err != nil {
 		return "", fmt.Errorf("dead backend: %w", err)

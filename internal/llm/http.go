@@ -143,6 +143,21 @@ func (e *APIError) Error() string {
 // III templates: the request's fault, so a server reports it as 400.
 var ErrUnreadablePrompt = errors.New("llm: unreadable prompt")
 
+// ErrCircuitOpen marks requests rejected because every circuit breaker
+// in front of the backend was open: the backend is presumed down, so the
+// caller fails fast instead of queuing more doomed calls behind it. The
+// replica pool returns it without calling a replica; the batch executor
+// then gives up at once, without retry or backoff. Its text predates
+// the move into this package and is kept so logs read the same.
+var ErrCircuitOpen = errors.New("batch: circuit breaker open")
+
+// ErrQueryTimeout marks predictor attempts that outlived the batch
+// executor's per-attempt deadline. It is transient: retries (if
+// configured) get a fresh deadline. It is also the cause of the
+// attempt's context, so a replica pool below counts the timeout against
+// the slow replica's breaker rather than as a cancellation.
+var ErrQueryTimeout = errors.New("batch: query timed out")
+
 // Permanent reports whether err is the request's own fault — an API
 // error with a 4xx status other than 429, or an unreadable prompt — so
 // retrying cannot help and it says nothing about a backend's health.

@@ -90,8 +90,7 @@ type ContextPredictor interface {
 // directly: a cancellation alone (a hedge loser, a caller giving up)
 // cannot stop the call either way, and a handoff goroutine per call
 // would only cost time and let every worker's call be in flight at
-// once. Apply it outside any lock, as WithContext(batch.Serialize(p)),
-// so an abandoned call holds the lock until it really returns.
+// once.
 func WithContext(p Predictor) ContextPredictor {
 	if cp, ok := p.(ContextPredictor); ok {
 		return cp

@@ -60,7 +60,7 @@ func (a Arrival) bursty(n int) ([]time.Duration, error) {
 	if a.OffMS < 0 {
 		return nil, fmt.Errorf("load: negative off_ms")
 	}
-	on := a.OnMS / 1e3  // seconds
+	on := a.OnMS / 1e3 // seconds
 	off := a.OffMS / 1e3
 	step := 1 / a.RatePerSec
 	out := make([]time.Duration, n)

@@ -62,9 +62,9 @@ type LedgerSnapshot struct {
 }
 
 // Attribution is the fraction of the query's total wall-clock covered
-// by billed stage charges (1 for zero-duration queries). The
-// traceguard requires ≥0.9: anything lower means a layer is spending
-// time no stage accounts for.
+// by billed stage charges, capped at 1 (1 for zero-duration queries).
+// The traceguard requires exact tiling (BilledWall == Total): anything
+// less means a layer is spending time no stage accounts for.
 func (s LedgerSnapshot) Attribution() float64 {
 	if s.Total <= 0 {
 		return 1

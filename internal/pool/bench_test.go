@@ -91,12 +91,12 @@ func BenchmarkPoolHedgedTail(b *testing.B) {
 	var p99Single, p99Hedged time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		single, err := New([]llm.Predictor{mk()}, Config{Seed: 1})
+		single, err := New([]llm.Predictor{mk()}, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		hedged, err := New([]llm.Predictor{mk(), mk(), mk()}, Config{
-			Hedge: true, HedgeAfter: hedgeAfter, Seed: 1,
+			Hedge: true, HedgeAfter: hedgeAfter,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -150,7 +150,7 @@ func appendBenchJSON(b *testing.B, path string, fields map[string]any) {
 // over a backend whose calls cost real latency. A cold sweep populates
 // the per-replica shards, then a warm re-run of the same prompts
 // measures *misroutes* — prompts sent to a replica whose cache never
-// saw them, each paying a full backend call. The affinity scorer is
+// saw them, each paying a full backend call. Affinity routing is
 // guarded at zero warm misroutes (serial driver, healthy replicas:
 // the owner is always ready, so a single miss is a placement bug);
 // the P2C arm shows the cost of cache-blind routing on the same
@@ -162,7 +162,7 @@ func BenchmarkPoolAffinityColdWarm(b *testing.B) {
 		replicas   = 3
 		backendLat = 500 * time.Microsecond
 	)
-	build := func(scorer Scorer) (*Pool, []*tailPred) {
+	build := func(affinity bool) (*Pool, []*tailPred) {
 		inners := make([]*tailPred, replicas)
 		wrapped := make([]llm.Predictor, replicas)
 		for i := range wrapped {
@@ -174,7 +174,7 @@ func BenchmarkPoolAffinityColdWarm(b *testing.B) {
 			b.Cleanup(func() { pc.Close() })
 			wrapped[i] = promptcache.Wrap(inners[i], pc)
 		}
-		pl, err := New(wrapped, Config{Scorer: scorer, Seed: 1})
+		pl, err := New(wrapped, Config{Affinity: affinity})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,13 +201,13 @@ func BenchmarkPoolAffinityColdWarm(b *testing.B) {
 	var coldWall, warmWall time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		affPool, affInners := build(&Affinity{})
+		affPool, affInners := build(true)
 		coldWall = sweep(affPool)
 		cold := backendCalls(affInners)
 		warmWall = sweep(affPool)
 		affinityMisroutes = backendCalls(affInners) - cold
 
-		p2cPool, p2cInners := build(nil)
+		p2cPool, p2cInners := build(false)
 		sweep(p2cPool)
 		p2cCold := backendCalls(p2cInners)
 		sweep(p2cPool)

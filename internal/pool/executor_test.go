@@ -77,7 +77,7 @@ func reqs(n int) []batch.Request {
 }
 
 // executorOverOne builds an executor over a one-slot pool of p.
-func executorOverOne(t *testing.T, p llm.Predictor, brk batch.BreakerConfig, cfg batch.Config) (*batch.Executor, *Pool) {
+func executorOverOne(t *testing.T, p llm.Predictor, brk BreakerConfig, cfg batch.Config) (*batch.Executor, *Pool) {
 	t.Helper()
 	pl := mustPool(t, Config{Breaker: brk, Obs: cfg.Obs}, p)
 	e, err := batch.New(pl, cfg)
@@ -88,11 +88,11 @@ func executorOverOne(t *testing.T, p llm.Predictor, brk batch.BreakerConfig, cfg
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	if b := batch.NewBreaker(batch.BreakerConfig{}, nil); b != nil {
+	if b := newBreaker(BreakerConfig{}, nil); b != nil {
 		t.Fatal("zero config built a live breaker")
 	}
-	_, pl := executorOverOne(t, newScripted(), batch.BreakerConfig{}, batch.Config{Workers: 1})
-	if s := pl.States(); len(s) != 1 || s[0] != batch.BreakerClosed {
+	_, pl := executorOverOne(t, newScripted(), BreakerConfig{}, batch.Config{Workers: 1})
+	if s := states(pl); len(s) != 1 || s[0] != breakerClosed {
 		t.Fatalf("pool without breaker reports %v, want [closed]", s)
 	}
 }
@@ -102,7 +102,7 @@ func TestExecutorBreakerFailsFast(t *testing.T) {
 	p.failFirst = 1000 // every call fails
 	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
 	e, pl := executorOverOne(t, p,
-		batch.BreakerConfig{Threshold: 3, Cooldown: time.Hour},
+		BreakerConfig{Threshold: 3, Cooldown: time.Hour},
 		batch.Config{Workers: 1, MaxRetries: -1})
 	res, err := e.Execute(context.Background(), reqs(20))
 	if err != nil {
@@ -111,7 +111,7 @@ func TestExecutorBreakerFailsFast(t *testing.T) {
 	if res.Failed != 20 {
 		t.Fatalf("failed=%d, want 20", res.Failed)
 	}
-	if s := pl.States()[0]; s != batch.BreakerOpen {
+	if s := states(pl)[0]; s != breakerOpen {
 		t.Fatalf("breaker %v after a dead backend, want open", s)
 	}
 	// Only the first Threshold calls reached the predictor; the rest
@@ -121,7 +121,7 @@ func TestExecutorBreakerFailsFast(t *testing.T) {
 	}
 	rejected := 0
 	for _, o := range res.Outcomes {
-		if errors.Is(o.Err, batch.ErrCircuitOpen) {
+		if errors.Is(o.Err, llm.ErrCircuitOpen) {
 			rejected++
 		}
 	}
@@ -135,7 +135,7 @@ func TestExecutorBreakerRecovers(t *testing.T) {
 	p.failFirst = 1 // first call per prompt fails, then succeeds
 	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "blip"}
 	e, pl := executorOverOne(t, p,
-		batch.BreakerConfig{Threshold: 5, Cooldown: time.Hour},
+		BreakerConfig{Threshold: 5, Cooldown: time.Hour},
 		batch.Config{Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond})
 	res, err := e.Execute(context.Background(), reqs(10))
 	if err != nil {
@@ -144,7 +144,7 @@ func TestExecutorBreakerRecovers(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("failed=%d with retries available, want 0", res.Failed)
 	}
-	if s := pl.States()[0]; s != batch.BreakerClosed {
+	if s := states(pl)[0]; s != breakerClosed {
 		t.Fatalf("breaker %v, want closed (successes reset the streak)", s)
 	}
 }
@@ -155,21 +155,21 @@ func TestQueryTimeoutTripsBreaker(t *testing.T) {
 	// the tail of the batch fails fast.
 	h := &ctxHang{match: "prompt", inner: newScripted()}
 	e, pl := executorOverOne(t, h,
-		batch.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 		batch.Config{Workers: 1, MaxRetries: -1, QueryTimeout: 10 * time.Millisecond})
 	res, err := e.Execute(context.Background(), reqs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := pl.States()[0]; s != batch.BreakerOpen {
+	if s := states(pl)[0]; s != breakerOpen {
 		t.Fatalf("breaker %v, want open after repeated timeouts", s)
 	}
 	timeouts, rejections := 0, 0
 	for _, o := range res.Outcomes {
 		switch {
-		case errors.Is(o.Err, batch.ErrQueryTimeout):
+		case errors.Is(o.Err, llm.ErrQueryTimeout):
 			timeouts++
-		case errors.Is(o.Err, batch.ErrCircuitOpen):
+		case errors.Is(o.Err, llm.ErrCircuitOpen):
 			rejections++
 		}
 	}
@@ -189,7 +189,7 @@ func TestCircuitOpenFailsFastWithoutAttempts(t *testing.T) {
 	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
 	reg := obs.NewRegistry()
 	e, _ := executorOverOne(t, p,
-		batch.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 		batch.Config{Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond, Obs: reg})
 	res, err := e.Execute(context.Background(), reqs(5))
 	if err != nil {
@@ -199,12 +199,12 @@ func TestCircuitOpenFailsFastWithoutAttempts(t *testing.T) {
 		t.Fatalf("predictor saw %d calls, want 1 (the ejecting call)", got)
 	}
 	first := res.Outcomes["q000"]
-	if !errors.Is(first.Err, batch.ErrCircuitOpen) || first.Attempts != 1 {
+	if !errors.Is(first.Err, llm.ErrCircuitOpen) || first.Attempts != 1 {
 		t.Fatalf("ejecting request: err %v attempts %d, want ErrCircuitOpen after 1 attempt", first.Err, first.Attempts)
 	}
 	for i := 1; i < 5; i++ {
 		o := res.Outcomes[fmt.Sprintf("q%03d", i)]
-		if !errors.Is(o.Err, batch.ErrCircuitOpen) || o.Attempts != 0 {
+		if !errors.Is(o.Err, llm.ErrCircuitOpen) || o.Attempts != 0 {
 			t.Fatalf("q%03d: err %v attempts %d, want ErrCircuitOpen with 0 attempts", i, o.Err, o.Attempts)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/xrand"
 )
@@ -19,14 +18,14 @@ import (
 //
 //   - pick never panics and never hands out a replica whose breaker
 //     is (still) open — an admitted replica is Closed or HalfOpen;
-//   - when pick refuses, the error is batch.ErrCircuitOpen and every
+//   - when pick refuses, the error is llm.ErrCircuitOpen and every
 //     replica really is ejected;
 //   - once the cooldown elapses and probes succeed, the pool always
 //     recovers: every replica closes again and picks flow.
 //
-// The seed's low bit selects the scorer — even seeds run the default
-// P2C policy, odd seeds the rendezvous Affinity scorer — so both
-// routing brains face the same adversarial outcome sequences.
+// The seed's low bit selects the routing policy — even seeds run the
+// default P2C policy, odd seeds rendezvous affinity routing — so both
+// face the same adversarial outcome sequences.
 func FuzzPoolPick(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 0, 1, 1, 1, 0})
 	f.Add(uint64(42), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
@@ -40,14 +39,10 @@ func FuzzPoolPick(f *testing.F) {
 			&fakePred{name: "r1", id: "x"},
 			&fakePred{name: "r2", id: "x"},
 		}
-		cfg := Config{
-			Breaker: batch.BreakerConfig{Threshold: 2, Cooldown: cooldown, HalfOpenProbes: 1},
-			Seed:    seed,
-		}
-		if seed%2 == 1 {
-			cfg.Scorer = &Affinity{}
-		}
-		pl, err := New(replicas, cfg)
+		pl, err := New(replicas, Config{
+			Breaker:  BreakerConfig{Threshold: 2, Cooldown: cooldown},
+			Affinity: seed%2 == 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +53,14 @@ func FuzzPoolPick(f *testing.F) {
 		transient := errors.New("backend down")
 
 		for i, op := range ops {
-			r, idx, _, err := pl.pick(pl.attempt(fmt.Sprintf("op-%d", i), rng))
+			r, idx, _, err := pl.pick(pl.route(fmt.Sprintf("op-%d", i), rng))
 			if err != nil {
-				if !errors.Is(err, batch.ErrCircuitOpen) {
+				if !errors.Is(err, llm.ErrCircuitOpen) {
 					t.Fatalf("op %d: pick error = %v, want ErrCircuitOpen", i, err)
 				}
 				// Refusal must mean every replica is ejected right now.
-				for j, s := range pl.States() {
-					if s != batch.BreakerOpen {
+				for j, s := range states(pl) {
+					if s != breakerOpen {
 						t.Fatalf("op %d: pick refused but replica %d is %v", i, j, s)
 					}
 				}
@@ -76,7 +71,7 @@ func FuzzPoolPick(f *testing.F) {
 			if idx < 0 || idx >= len(replicas) {
 				t.Fatalf("op %d: pick returned index %d", i, idx)
 			}
-			if s := r.brk.State(); s == batch.BreakerOpen {
+			if s := r.brk.state(); s == breakerOpen {
 				t.Fatalf("op %d: pick admitted replica %d while its breaker is open", i, idx)
 			}
 			judge := func(ctx context.Context, outcome error) {
@@ -103,15 +98,15 @@ func FuzzPoolPick(f *testing.F) {
 		// every breaker and picks must flow again.
 		time.Sleep(2 * cooldown)
 		for i := 0; i < 200; i++ {
-			r, _, _, err := pl.pick(pl.attempt(fmt.Sprintf("probe-%d", i), rng))
+			r, _, _, err := pl.pick(pl.route(fmt.Sprintf("probe-%d", i), rng))
 			if err != nil {
 				time.Sleep(cooldown)
 				continue
 			}
-			r.brk.Report(true)
+			r.brk.report(true)
 			allClosed := true
-			for _, s := range pl.States() {
-				if s != batch.BreakerClosed {
+			for _, s := range states(pl) {
+				if s != breakerClosed {
 					allClosed = false
 				}
 			}
@@ -119,12 +114,12 @@ func FuzzPoolPick(f *testing.F) {
 				break
 			}
 		}
-		for j, s := range pl.States() {
-			if s != batch.BreakerClosed {
+		for j, s := range states(pl) {
+			if s != breakerClosed {
 				t.Fatalf("replica %d never recovered: state %v after healthy probes", j, s)
 			}
 		}
-		if _, _, _, err := pl.pick(pl.attempt("final", rng)); err != nil {
+		if _, _, _, err := pl.pick(pl.route("final", rng)); err != nil {
 			t.Fatalf("pick still refusing after full recovery: %v", err)
 		}
 	})

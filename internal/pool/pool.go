@@ -2,22 +2,23 @@
 // backends ("replicas") so that one slow or dead replica is no longer
 // the whole system's ceiling.
 //
-// Routing is pluggable (Config.Scorer): a Scorer ranks the replica set
-// for every attempt and the pool takes the first admitted candidate.
-// The default P2C scorer is health-aware — each replica carries an
-// EWMA of its observed latency and an in-flight counter, and every
-// query picks between two random candidates, taking the one with the
-// lower latency×load score (power-of-two-choices — near-optimal load
-// spread without global coordination). The Affinity scorer instead
-// places each prompt's cache key on its rendezvous owner, so warm
-// prompt-cache shards never pay cold-replica tokens; see scorer.go.
-// Each replica is guarded by its own circuit breaker (batch.Breaker),
-// so a dead backend is ejected from rotation while the healthy ones
-// keep serving; a pool of one slot is how core guards an unpooled
-// plan. Transient errors and attempts past the executor's QueryTimeout
-// count against a replica; other cancellations do not. When every
-// replica is ejected the pool fails with batch.ErrCircuitOpen without
-// calling one, and the executor returns that at once, without retry.
+// For every attempt the pool ranks the replica set and takes the first
+// candidate whose breaker admits it (route.go). The default ranking is
+// health-aware — each replica carries an EWMA of its observed latency
+// and an in-flight counter, and every query picks between two random
+// candidates, taking the one with the lower latency×load score
+// (power-of-two-choices — near-optimal load spread without global
+// coordination). Config.Affinity instead places each prompt's cache key
+// on its rendezvous owner, so warm prompt-cache shards never pay
+// cold-replica tokens. Each replica is guarded by its own circuit
+// breaker (breaker.go), so a dead backend is ejected from rotation
+// while the healthy ones keep serving; a pool of one slot is how core
+// guards an unpooled plan. The pool is the only owner of backend
+// health. Transient errors and attempts past the executor's
+// QueryTimeout count against a replica; other cancellations do not.
+// When every replica is ejected the pool fails with llm.ErrCircuitOpen
+// without calling one, and the executor returns that at once, without
+// retry.
 //
 // Optionally the pool hedges: if the first replica has not answered
 // within HedgeAfter, the same prompt is sent to a second replica and
@@ -43,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/promptcache"
@@ -68,8 +68,8 @@ const DefaultHedgeAfter = 50 * time.Millisecond
 // ewmaAlpha weights the newest latency sample in the per-replica EWMA.
 const ewmaAlpha = 0.3
 
-// Config tunes the pool. The zero value routes without breakers or
-// hedging.
+// Config tunes the pool. The zero value routes by P2C without breakers
+// or hedging.
 type Config struct {
 	// Hedge enables hedged requests: a second replica is tried when the
 	// first has not answered within HedgeAfter, and the first answer
@@ -80,16 +80,11 @@ type Config struct {
 	HedgeAfter time.Duration
 	// Breaker configures the per-replica circuit breakers; the zero
 	// value disables them (every replica stays in rotation forever).
-	Breaker batch.BreakerConfig
-	// Scorer ranks the replica set for each attempt; nil means the
-	// default P2C policy. Set &Affinity{} for cache-affine routing
-	// (rendezvous placement of prompt-cache keys) — warm shards then
-	// stay pinned to their owner and hedges go to the key's second
-	// hash choice.
-	Scorer Scorer
-	// Seed drives the scorer's candidate picks deterministically
-	// (given a serial caller).
-	Seed uint64
+	Breaker BreakerConfig
+	// Affinity routes by rendezvous placement of prompt-cache keys
+	// instead of P2C: warm shards stay pinned to their owner and hedges
+	// go to the key's second hash choice.
+	Affinity bool
 	// Obs receives the pool's metrics; nil routes to the process
 	// default.
 	Obs obs.Recorder
@@ -98,7 +93,7 @@ type Config struct {
 // replica is one backend plus its routing health state.
 type replica struct {
 	p     llm.ContextPredictor
-	brk   *batch.Breaker // nil when breakers are disabled
+	brk   *breaker // nil when breakers are disabled
 	label string
 	// rid is the replica's rendezvous identity: the backend's
 	// answer-function identity, disambiguated with a stable #slot
@@ -138,6 +133,10 @@ func (r *replica) score() float64 {
 	return lat * float64(r.inflight.Load()+1)
 }
 
+// ready reports whether the replica's breaker would plausibly admit a
+// request, without the side effects of asking it to.
+func (r *replica) ready() bool { return r.brk == nil || r.brk.ready() }
+
 // Pool is an llm.ContextPredictor that routes every query to one of N
 // replica backends. It is safe for concurrent use.
 type Pool struct {
@@ -147,13 +146,10 @@ type Pool struct {
 	seq      atomic.Uint64
 	name     string
 	identity string
-	scorer   Scorer
-	// keyed marks that the configured scorer wants prompt-cache keys;
-	// ns is the pool's promptcache namespace those keys are derived in
-	// (identical to the namespace the disk-cache layers derive, so the
-	// scorer places exactly the keys the caches store).
-	keyed bool
-	ns    string
+	// ns is the promptcache namespace affinity routing derives keys in
+	// (identical to the namespace the disk-cache layers derive, so
+	// routing places exactly the keys the caches store).
+	ns string
 }
 
 // New builds a pool over the given replicas. The same predictor value
@@ -174,15 +170,10 @@ func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("pool: replica %d is nil", i)
 		}
 		rep := &replica{p: llm.WithContext(r), label: fmt.Sprintf("%d", i)}
-		rep.brk = batch.NewBreaker(cfg.Breaker, rec, "replica", rep.label)
+		rep.brk = newBreaker(cfg.Breaker, rec, "replica", rep.label)
 		p.replicas = append(p.replicas, rep)
 	}
 	p.identity = foldIdentity(replicas)
-	p.scorer = cfg.Scorer
-	p.keyed = cfg.Scorer != nil
-	if p.scorer == nil {
-		p.scorer = P2C{}
-	}
 	p.ns = promptcache.Namespace(p)
 	seen := make(map[string]int, len(p.replicas))
 	for _, rep := range p.replicas {
@@ -229,85 +220,56 @@ func (p *Pool) Identity() string { return p.identity }
 // Size reports the replica count.
 func (p *Pool) Size() int { return len(p.replicas) }
 
-// States reports each replica's breaker position (BreakerClosed for all
-// when breakers are disabled). Index i is replica i.
-func (p *Pool) States() []batch.BreakerState {
-	out := make([]batch.BreakerState, len(p.replicas))
-	for i, r := range p.replicas {
-		if r.brk != nil {
-			out[i] = r.brk.State()
-		}
-	}
-	return out
-}
-
-// The pool is the View its scorer ranks against.
-
-// Len implements View.
-func (p *Pool) Len() int { return len(p.replicas) }
-
-// Score implements View: the replica's latency×load estimate.
-func (p *Pool) Score(i int) float64 { return p.replicas[i].score() }
-
-// Inflight implements View.
-func (p *Pool) Inflight(i int) int64 { return p.replicas[i].inflight.Load() }
-
-// ID implements View: the replica's stable rendezvous identity.
-func (p *Pool) ID(i int) string { return p.replicas[i].rid }
-
-// Ready implements View: whether the replica's breaker would plausibly
-// admit a request, without the side effects of Allow.
-func (p *Pool) Ready(i int) bool {
-	r := p.replicas[i]
-	return r.brk == nil || r.brk.Ready()
-}
-
-// pick routes one attempt: the scorer ranks the candidates and the
-// first replica whose breaker admits the request wins. Scorers express
-// preference, breakers keep authority — a replica the scorer loves is
-// still skipped while ejected — and when every candidate is refused,
-// pick fails with batch.ErrCircuitOpen. The returned verdict labels
-// the pick's affinity outcome ("hit" when it landed on the attempt's
-// cache-affine replica, "miss" when it had to leave one, "none" for
-// key-blind scorers) and is mirrored on the pool.pick span and the
-// mqo_pool_affinity_* counters.
-func (p *Pool) pick(a Attempt) (*replica, int, string, error) {
-	rk := p.scorer.Rank(a, p)
-	for _, i := range rk.Order {
-		if i < 0 || i >= len(p.replicas) || i == a.Exclude {
-			continue // a misbehaving scorer must not crash routing
-		}
+// pick routes one attempt: rank orders the candidates and the first
+// replica whose breaker admits the request wins. Ranking expresses
+// preference, breakers keep authority — a preferred replica is still
+// skipped while ejected — and when every candidate is refused, pick
+// fails with llm.ErrCircuitOpen. The returned verdict labels the pick's
+// affinity outcome ("hit" when it landed on the attempt's cache-affine
+// replica, "miss" when it had to leave one, "none" under P2C) and is
+// mirrored on the pool.pick span and the mqo_pool_affinity_* counters.
+func (p *Pool) pick(rt route) (*replica, int, string, error) {
+	order, affine := p.rank(rt)
+	for _, i := range order {
 		r := p.replicas[i]
-		if r.brk != nil && r.brk.Allow() != nil {
+		if r.brk != nil && r.brk.allow() != nil {
 			continue
 		}
 		p.rec.Add(metricPicks, 1, "replica", r.label)
 		verdict := "none"
-		if rk.Affine >= 0 && rk.Affine < len(p.replicas) {
-			if i == rk.Affine {
+		if affine >= 0 {
+			if i == affine {
 				verdict = "hit"
 				p.rec.Add(metricAffinityHits, 1, "replica", r.label)
 			} else {
 				// Label the miss by the replica that *owns* the key, so
 				// a dashboard shows which shard is bleeding tokens.
 				verdict = "miss"
-				p.rec.Add(metricAffinityMisses, 1, "replica", p.replicas[rk.Affine].label)
+				p.rec.Add(metricAffinityMisses, 1, "replica", p.replicas[affine].label)
 			}
 		}
 		return r, i, verdict, nil
 	}
-	return nil, -1, "", batch.ErrCircuitOpen
+	return nil, -1, "", llm.ErrCircuitOpen
 }
 
-// attempt builds the routing Attempt for one query, deriving the
-// prompt's cache key once when the scorer is key-aware (the hedge
+// route builds the routing decision for one query, deriving the
+// prompt's cache key once when affinity routing needs it (the hedge
 // re-pick reuses it).
-func (p *Pool) attempt(promptText string, rng *xrand.RNG) Attempt {
-	a := Attempt{Prompt: promptText, Exclude: -1, RNG: rng}
-	if p.keyed {
-		a.Key = promptcache.KeyOf(p.ns, promptText)
+func (p *Pool) route(promptText string, rng *xrand.RNG) route {
+	rt := route{exclude: -1, rng: rng}
+	if p.cfg.Affinity {
+		rt.key = promptcache.KeyOf(p.ns, promptText)
 	}
-	return a
+	return rt
+}
+
+// policy labels the routing policy on pool.pick spans.
+func (p *Pool) policy() string {
+	if p.cfg.Affinity {
+		return "affinity"
+	}
+	return "p2c"
 }
 
 // do runs one attempt on r, updating health state and feeding the
@@ -346,21 +308,21 @@ func (p *Pool) judge(ctx context.Context, r *replica, err error) {
 	}
 	switch {
 	case err == nil:
-		r.brk.Report(true)
-	case ctx.Err() != nil && !errors.Is(context.Cause(ctx), batch.ErrQueryTimeout):
+		r.brk.report(true)
+	case ctx.Err() != nil && !errors.Is(context.Cause(ctx), llm.ErrQueryTimeout):
 		// Canceled (hedge loser, caller gave up): not the backend's
 		// fault. An expired executor deadline is: the replica was too
 		// slow to answer, so default reports a failure.
-		r.brk.Cancel()
+		r.brk.cancel()
 	default:
 		if llm.Permanent(err) {
 			// The request's fault, not the replica's.
-			r.brk.Cancel()
+			r.brk.cancel()
 			return
 		}
-		before := r.brk.State()
-		r.brk.Report(false)
-		if before != batch.BreakerOpen && r.brk.State() == batch.BreakerOpen {
+		before := r.brk.state()
+		r.brk.report(false)
+		if before != breakerOpen && r.brk.state() == breakerOpen {
 			p.rec.Add(metricEjected, 1, "replica", r.label)
 		}
 	}
@@ -438,10 +400,9 @@ func (rc *hedgeRace) settle(err error, wall time.Duration, tokens int) (won bool
 // exactly once, so callers (token meters, caches) never see duplicate
 // answers. When both attempts fail, the primary's error is returned.
 func (p *Pool) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
-	rng := xrand.New(p.cfg.Seed ^ p.seq.Add(1))
-	att := p.attempt(promptText, rng)
-	_, psp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "primary", "scorer", p.scorer.Name())
-	first, firstIdx, verdict, err := p.pick(att)
+	rt := p.route(promptText, xrand.New(p.seq.Add(1)))
+	_, psp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "primary", "scorer", p.policy())
+	first, firstIdx, verdict, err := p.pick(rt)
 	if err != nil {
 		psp.SetAttr("verdict", "all_ejected")
 		psp.End()
@@ -486,15 +447,14 @@ func (p *Pool) QueryContext(ctx context.Context, promptText string) (llm.Respons
 		select {
 		case <-timerC:
 			timerC = nil
-			// The hedge excludes the primary's replica; under the
-			// Affinity scorer the ranking then starts at the key's
-			// second hash choice, so hedges stay on a replica that may
-			// have the prompt warm instead of a random cold one.
-			hatt := att
-			hatt.Hedge = true
-			hatt.Exclude = firstIdx
-			_, hsp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "hedge", "scorer", p.scorer.Name())
-			second, _, hverdict, perr := p.pick(hatt)
+			// The hedge excludes the primary's replica; under affinity
+			// routing the ranking then starts at the key's second hash
+			// choice, so hedges stay on a replica that may have the
+			// prompt warm instead of a random cold one.
+			hrt := rt
+			hrt.exclude = firstIdx
+			_, hsp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "hedge", "scorer", p.policy())
+			second, _, hverdict, perr := p.pick(hrt)
 			if perr != nil {
 				// No healthy second replica; keep waiting on the first.
 				hsp.SetAttr("verdict", "all_ejected")

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/obs"
 )
@@ -78,6 +77,18 @@ func mustPool(t *testing.T, cfg Config, replicas ...llm.Predictor) *Pool {
 	return p
 }
 
+// states reports each replica's breaker position (closed for a slot
+// without a breaker). Index i is replica i.
+func states(p *Pool) []breakerState {
+	out := make([]breakerState, len(p.replicas))
+	for i, r := range p.replicas {
+		if r.brk != nil {
+			out[i] = r.brk.state()
+		}
+	}
+	return out
+}
+
 func TestNewRejectsEmpty(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("New(nil) succeeded, want error")
@@ -134,9 +145,9 @@ func TestRoutingPreservesAnswers(t *testing.T) {
 	}
 
 	for name, pl := range map[string]*Pool{
-		"1-replica":       mustPool(t, Config{Seed: 7}, mk()),
-		"3-replica":       mustPool(t, Config{Seed: 7}, mk(), mk(), mk()),
-		"3-replica-hedge": mustPool(t, Config{Seed: 7, Hedge: true, HedgeAfter: time.Nanosecond}, mk(), mk(), mk()),
+		"1-replica":       mustPool(t, Config{}, mk()),
+		"3-replica":       mustPool(t, Config{}, mk(), mk(), mk()),
+		"3-replica-hedge": mustPool(t, Config{Hedge: true, HedgeAfter: time.Nanosecond}, mk(), mk(), mk()),
 	} {
 		var wg sync.WaitGroup
 		got := make([]string, len(prompts))
@@ -194,7 +205,7 @@ func TestHedging(t *testing.T) {
 			// guaranteed; pin it by making the secondary busy-looking is
 			// fragile — instead run until the slow replica was primary at
 			// least once, or accept either pick for the fast case.
-			pl := mustPool(t, Config{Hedge: true, HedgeAfter: tc.hedgeAfter, Seed: 1, Obs: reg},
+			pl := mustPool(t, Config{Hedge: true, HedgeAfter: tc.hedgeAfter, Obs: reg},
 				tc.primary, secondary)
 
 			resp, err := pl.QueryContext(context.Background(), "p")
@@ -249,7 +260,7 @@ func TestHedgeBillsWinnerOnce(t *testing.T) {
 	slow := &fakePred{name: "slow", id: "x", delay: 30 * time.Second}
 	fast := &fakePred{name: "fast", id: "x"}
 	reg := obs.NewRegistry()
-	pl := mustPool(t, Config{Hedge: true, HedgeAfter: time.Millisecond, Seed: 1, Obs: reg}, slow, fast)
+	pl := mustPool(t, Config{Hedge: true, HedgeAfter: time.Millisecond, Obs: reg}, slow, fast)
 
 	var inputTokens atomic.Int64
 	const n = 40
@@ -295,17 +306,16 @@ func TestPerReplicaBreakerEjectsDeadReplica(t *testing.T) {
 	dead := &fakePred{name: "dead", id: "x", err: errors.New("boom")}
 	ok := &fakePred{name: "ok", id: "x", delay: 2 * time.Millisecond}
 	pl := mustPool(t, Config{
-		Breaker: batch.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-		Seed:    3, Obs: reg,
+		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour}, Obs: reg,
 	}, dead, ok)
 
 	// Drive queries until the dead replica's breaker opens; individual
 	// errors are expected while it is still in rotation (retries are the
 	// batch executor's job, not the pool's).
-	for i := 0; i < 100 && pl.States()[0] != batch.BreakerOpen; i++ {
+	for i := 0; i < 100 && states(pl)[0] != breakerOpen; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i))
 	}
-	if got := pl.States()[0]; got != batch.BreakerOpen {
+	if got := states(pl)[0]; got != breakerOpen {
 		t.Fatalf("dead replica breaker state = %v, want open", got)
 	}
 	if got := reg.CounterValue("mqo_pool_ejected_total", "replica", "0"); got != 1 {
@@ -317,27 +327,26 @@ func TestPerReplicaBreakerEjectsDeadReplica(t *testing.T) {
 			t.Fatalf("query after ejection failed: %v", err)
 		}
 	}
-	if got := pl.States()[1]; got != batch.BreakerClosed {
+	if got := states(pl)[1]; got != breakerClosed {
 		t.Errorf("healthy replica breaker state = %v, want closed", got)
 	}
 }
 
 // TestAllEjectedFailsFast: when every replica is ejected the pool
-// reports batch.ErrCircuitOpen — the sentinel the executor's fallback
+// reports llm.ErrCircuitOpen — the sentinel the executor's fallback
 // path already understands.
 func TestAllEjectedFailsFast(t *testing.T) {
 	dead1 := &fakePred{name: "d1", id: "x", err: errors.New("boom")}
 	dead2 := &fakePred{name: "d2", id: "x", err: errors.New("boom")}
 	pl := mustPool(t, Config{
-		Breaker: batch.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-		Seed:    5,
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 	}, dead1, dead2)
 
 	for i := 0; i < 50; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i))
 	}
-	if _, err := pl.QueryContext(context.Background(), "final"); !errors.Is(err, batch.ErrCircuitOpen) {
-		t.Fatalf("all-ejected error = %v, want batch.ErrCircuitOpen", err)
+	if _, err := pl.QueryContext(context.Background(), "final"); !errors.Is(err, llm.ErrCircuitOpen) {
+		t.Fatalf("all-ejected error = %v, want llm.ErrCircuitOpen", err)
 	}
 }
 
@@ -349,24 +358,23 @@ func TestEjectedReplicaRecovers(t *testing.T) {
 	flaky := &fakePred{name: "flaky", id: "x", err: errors.New("boom")}
 	ok := &fakePred{name: "ok", id: "x", delay: time.Millisecond}
 	pl := mustPool(t, Config{
-		Breaker: batch.BreakerConfig{Threshold: 1, Cooldown: 5 * time.Millisecond},
-		Seed:    9,
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: 5 * time.Millisecond},
 	}, flaky, ok)
 
-	for i := 0; i < 50 && pl.States()[0] != batch.BreakerOpen; i++ {
+	for i := 0; i < 50 && states(pl)[0] != breakerOpen; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i))
 	}
-	if pl.States()[0] != batch.BreakerOpen {
+	if states(pl)[0] != breakerOpen {
 		t.Fatal("flaky replica never ejected")
 	}
 	flaky.err = nil // backend healed
 	time.Sleep(10 * time.Millisecond)
 	// Probe until the breaker closes again.
-	for i := 0; i < 200 && pl.States()[0] != batch.BreakerClosed; i++ {
+	for i := 0; i < 200 && states(pl)[0] != breakerClosed; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("r%d", i))
 		time.Sleep(time.Millisecond)
 	}
-	if got := pl.States()[0]; got != batch.BreakerClosed {
+	if got := states(pl)[0]; got != breakerClosed {
 		t.Fatalf("healed replica state = %v, want closed", got)
 	}
 }
@@ -376,13 +384,12 @@ func TestEjectedReplicaRecovers(t *testing.T) {
 func TestClientErrorsDoNotTripBreaker(t *testing.T) {
 	bad := &fakePred{name: "bad", id: "x", err: &llm.APIError{StatusCode: 400, Message: "bad prompt"}}
 	pl := mustPool(t, Config{
-		Breaker: batch.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-		Seed:    11,
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 	}, bad)
 	for i := 0; i < 10; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i))
 	}
-	if got := pl.States()[0]; got != batch.BreakerClosed {
+	if got := states(pl)[0]; got != breakerClosed {
 		t.Errorf("breaker state after 4xx storm = %v, want closed", got)
 	}
 }
@@ -393,7 +400,7 @@ func TestPicksSpreadAcrossReplicas(t *testing.T) {
 	a := &fakePred{name: "a", id: "x"}
 	b := &fakePred{name: "b", id: "x"}
 	c := &fakePred{name: "c", id: "x"}
-	pl := mustPool(t, Config{Seed: 13}, a, b, c)
+	pl := mustPool(t, Config{}, a, b, c)
 	for i := 0; i < 300; i++ {
 		if _, err := pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i)); err != nil {
 			t.Fatal(err)

@@ -68,7 +68,7 @@ func Tenant(r *http.Request) string {
 // Backpressure contract: a request rejected at admission (queue past
 // its high-water mark, tenant over quota, or drain in progress) gets a
 // JSON 429 — 503 for drain — carrying a Retry-After header in whole
-// seconds; clients are expected to honor it (llm.HTTPPredictor does).
+// seconds; clients are expected to honor it.
 func Handler(s *Server) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

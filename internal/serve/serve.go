@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/tag"
 )
@@ -87,7 +88,7 @@ type Config struct {
 	MaxQueue int
 	// RetryAfter is the backoff hint handed to rejected clients
 	// (default DefaultRetryAfter). Honoring it is the client's half of
-	// the backpressure contract (llm.HTTPPredictor does).
+	// the backpressure contract.
 	RetryAfter time.Duration
 	// TenantBudget, when > 0, caps each tenant's delivered tokens: once
 	// a tenant has been served that many tokens, further requests are
@@ -97,8 +98,11 @@ type Config struct {
 	// in mqo_serve_coalesced_total instead.
 	TenantBudget int
 	// Exec configures how each coalesced plan executes (workers,
-	// retries, cache tiers, replica pool, fallback…). Exec.OnResult is
-	// owned by the serve tier and must be nil.
+	// retries, cache tiers, replica pool, fallback…). Its pool knobs
+	// (Replicas, ReplicaCount, Breaker, Hedge, Affinity) build one
+	// replica pool in New that every window routes through, so breakers
+	// and latency estimates outlive the window. Exec.OnResult is owned
+	// by the serve tier and must be nil.
 	Exec core.ExecConfig
 	// Obs receives serve metrics and spans; nil routes to the
 	// process-default recorder.
@@ -174,7 +178,7 @@ type entry struct {
 type Server struct {
 	pctx   *predictors.Context
 	method predictors.Method
-	pred   llm.Predictor
+	pred   *pool.Pool // built once in New; every window routes through it
 	cfg    Config
 	rec    obs.Recorder
 
@@ -194,9 +198,9 @@ type Server struct {
 	done chan struct{}
 }
 
-// New validates the configuration and starts the batcher. The
-// predictor must tolerate Exec.Workers concurrent calls (wrap
-// single-threaded predictors with batch.Serialize).
+// New validates the configuration, builds the replica pool and starts
+// the batcher. The predictor must tolerate Exec.Workers concurrent
+// calls.
 func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Config) (*Server, error) {
 	if pctx == nil || pctx.Graph == nil {
 		return nil, errors.New("serve: nil context or graph")
@@ -222,10 +226,18 @@ func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Con
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
+	// The same lowering every plan would do, done once: each window then
+	// passes the pool as its predictor with no pool knobs of its own, and
+	// core routes through it as is.
+	route, err := core.NewPool(p, cfg.Exec, obs.Active(pctx.Obs))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Exec.Replicas, cfg.Exec.ReplicaCount, cfg.Exec.Breaker = nil, 0, pool.BreakerConfig{}
 	s := &Server{
 		pctx:     pctx,
 		method:   m,
-		pred:     p,
+		pred:     route,
 		cfg:      cfg,
 		rec:      obs.Active(cfg.Obs),
 		now:      cfg.Now,
@@ -398,10 +410,10 @@ func (s *Server) Close() {
 // batcher is the tier's single scheduling goroutine: it waits for
 // work, keeps the window open for Config.Window so concurrent requests
 // coalesce, then flushes the queue as one shared plan. Windows run
-// sequentially — plan building walks the shared graph context, which
-// is single-threaded by design — so while one window executes, the
-// next one's requests pile up behind it (that queue *is* the
-// backpressure signal MaxQueue bounds).
+// sequentially — one plan at a time owns the shared graph context (its
+// planning fans out across Exec.Workers inside the plan) — so while one
+// window executes, the next one's requests pile up behind it (that
+// queue *is* the backpressure signal MaxQueue bounds).
 func (s *Server) batcher() {
 	defer close(s.done)
 	for {

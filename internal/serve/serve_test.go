@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/tag"
 	"repro/internal/xrand"
@@ -512,6 +514,59 @@ func TestHandlerQueryAndErrors(t *testing.T) {
 		t.Fatal("503 missing Retry-After header")
 	}
 	resp.Body.Close()
+}
+
+// downPredictor is a dead backend: every call is a 503.
+type downPredictor struct{ calls atomic.Int64 }
+
+func (d *downPredictor) Name() string { return "down" }
+
+func (d *downPredictor) Query(string) (llm.Response, error) {
+	d.calls.Add(1)
+	return llm.Response{}, &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
+}
+
+// TestBreakerOutlivesWindows: backend health belongs to the server, not
+// to one micro-batching window. Sequential submissions each flush their
+// own window; after Threshold failures the breaker is open for every
+// later window, so the dead backend sees exactly Threshold calls and
+// the rest fail fast with ErrCircuitOpen without an attempt.
+func TestBreakerOutlivesWindows(t *testing.T) {
+	f := newFixture(t, 300, 40, 9)
+	reg := obs.NewRegistry()
+	pctx := f.freshCtx()
+	pctx.Obs = reg
+	down := &downPredictor{}
+	s, err := New(pctx, predictors.KHopRandom{K: 1}, down, Config{
+		Window: time.Millisecond,
+		Exec:   core.ExecConfig{Workers: 1, Breaker: pool.BreakerConfig{Threshold: 2, Cooldown: time.Hour}},
+		Obs:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	errs := make([]error, 10)
+	for i, node := range f.split.Query[:len(errs)] {
+		_, errs[i] = s.Submit(context.Background(), "tenant", node)
+	}
+	if got := down.calls.Load(); got != 2 {
+		t.Fatalf("dead backend got %d calls over %d windows, want 2 (the breaker threshold)", got, len(errs))
+	}
+	for i, err := range errs {
+		var apiErr *llm.APIError
+		switch {
+		case i < 2 && !errors.As(err, &apiErr):
+			t.Fatalf("submit %d: err %v, want the backend's 503", i, err)
+		case i >= 2 && !errors.Is(err, llm.ErrCircuitOpen):
+			t.Fatalf("submit %d: err %v, want ErrCircuitOpen", i, err)
+		}
+	}
+	// No retries are configured, so a rejected request made 0 attempts.
+	if got := reg.CounterValue("mqo_batch_requests_total", "outcome", "rejected"); got != 8 {
+		t.Fatalf("rejected requests = %v, want 8", got)
+	}
 }
 
 // waitFor polls cond for up to 2s.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/llm"
+	"repro/internal/pool"
 )
 
 // BatchRequest is one prompt to execute with an opaque caller ID.
@@ -32,17 +33,17 @@ var ErrBudgetExhausted = batch.ErrBudgetExhausted
 
 // ErrQueryTimeout marks predictor calls abandoned because they
 // outlived the per-query deadline (Options.QueryTimeout).
-var ErrQueryTimeout = batch.ErrQueryTimeout
+var ErrQueryTimeout = llm.ErrQueryTimeout
 
 // ErrCircuitOpen marks queries rejected fast because every replica's
 // circuit breaker judged its backend down (Options.BreakerThreshold).
 // The executor returns it without retry or backoff.
-var ErrCircuitOpen = batch.ErrCircuitOpen
+var ErrCircuitOpen = llm.ErrCircuitOpen
 
 // BreakerConfig configures the per-replica circuit breakers of a pool
 // (PoolConfig.Breaker); the zero value disables them. BatchConfig has
 // no breaker: wrap the predictor in a pool to guard it.
-type BreakerConfig = batch.BreakerConfig
+type BreakerConfig = pool.BreakerConfig
 
 // ContextPredictor is a Predictor whose calls can be canceled via a
 // context; HTTP predictors implement it, and the executor's
@@ -67,15 +68,11 @@ func NewFaultInjector(p Predictor, cfg FaultConfig) (*FaultInjector, error) {
 	return llm.NewFaultInjector(p, cfg)
 }
 
-// NewBatchExecutor builds a concurrent executor over p. Wrap
-// single-threaded predictors (like *Sim) with SerializePredictor.
+// NewBatchExecutor builds a concurrent executor over p, which must be
+// safe for concurrent use (every predictor this package builds is).
 func NewBatchExecutor(p Predictor, cfg BatchConfig) (*BatchExecutor, error) {
 	return batch.New(p, cfg)
 }
-
-// SerializePredictor makes a single-threaded predictor safe for a
-// concurrent BatchExecutor.
-func SerializePredictor(p Predictor) Predictor { return batch.Serialize(p) }
 
 // ReplayBatchLog recovers the successful outcomes recorded in a JSONL
 // audit log, keyed by request ID — the checkpoint for resuming a

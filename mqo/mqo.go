@@ -40,10 +40,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/predictors"
 	"repro/internal/prompt"
 	"repro/internal/promptcache"
@@ -240,7 +240,7 @@ func (o Options) execConfig() core.ExecConfig {
 		QPS:          o.QPS,
 		BudgetTokens: o.BudgetTokens,
 		QueryTimeout: o.QueryTimeout,
-		Breaker: batch.BreakerConfig{
+		Breaker: pool.BreakerConfig{
 			Threshold: o.BreakerThreshold,
 			Cooldown:  o.BreakerCooldown,
 		},

@@ -115,7 +115,7 @@ func TestBatchExecutorEmitsRetryMetrics(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	flaky := &flakyPredictor{seen: map[string]bool{}, inner: SerializePredictor(NewSim(GPT35(), g, 33))}
+	flaky := &flakyPredictor{seen: map[string]bool{}, inner: NewSim(GPT35(), g, 33)}
 	exec, err := NewBatchExecutor(flaky, BatchConfig{Workers: 3, MaxRetries: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
